@@ -471,11 +471,11 @@ func BenchmarkServeSelectParallel(b *testing.B) {
 }
 
 // BenchmarkServeWire measures one Select+Feedback decision round trip
-// through the full stack — client batching, framed gob both ways, the
-// server's connection loop, the store — over loopback TCP, and reports the
-// p99 per-decision latency alongside the mean. Like the cluster wire rows,
-// allocs/op is recorded ungated (gob internals dominate); the row's
-// presence is still enforced.
+// through the full stack — client batching, the binary codec and CRC
+// frames both ways, the server's connection loop, the store — over
+// loopback TCP, and reports the p99 per-decision latency alongside the
+// mean. Both ends decode into reused per-connection buffers, so the row is
+// gated at 0 allocs/op like the in-process decision rows.
 func BenchmarkServeWire(b *testing.B) {
 	store, err := serve.NewStore(serve.Config{Seed: 1})
 	if err != nil {

@@ -1,6 +1,6 @@
 // Command served is the bandit-as-a-service decision daemon: it holds one
 // Smart EXP3 policy per device session and answers Select / Feedback over
-// the framed-gob wire (internal/serve), so fleets of clients outsource
+// the framed binary wire (internal/serve), so fleets of clients outsource
 // their per-slot network choice to a process that survives them.
 //
 // State is per-device and seeded per-device (rngutil.ChildSeed of -seed and
@@ -34,7 +34,7 @@
 //	served -debug-addr 127.0.0.1:9633       # /metrics, /varz, /debug/pprof/
 //	served -metrics-log-every 1m            # periodic metrics delta log line
 //
-// The protocol is unauthenticated and unencrypted (stdlib gob over TCP):
+// The protocol is unauthenticated and unencrypted (CRC-framed binary over TCP):
 // run served only on networks where every peer is trusted, exactly like
 // shardd.
 package main

@@ -97,9 +97,9 @@
 //     (GOMAXPROCS-scaled shards, one mutex each) holds one Smart EXP3
 //     instance plus one seeded RNG stream per device, pooled and
 //     reinitialized in place so device churn is allocation-free warm.
-//     Requests travel over the cluster layer's framed-gob transport
-//     (cluster.FrameWriter/FrameReader) with batched fire-and-forget
-//     feedback. The store is a pure function of (algorithm, config, seed)
+//     Requests travel as fixed-layout binary bodies in the cluster layer's
+//     CRC frames (cluster.FrameWriter/FrameReader) with batched
+//     fire-and-forget feedback. The store is a pure function of (algorithm, config, seed)
 //     and the request history: devices draw from independent
 //     rngutil.ChildSeed streams, snapshots serialize devices in sorted id
 //     order with exact policy and RNG-cursor state, and a

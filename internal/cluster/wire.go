@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -146,23 +147,24 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // hundreds of small batches on every connection end.
 const retainFrameBytes = 1 << 20
 
-// FrameWriter emits length-prefixed frames through one persistent gob
-// encoder. Codec state is per connection, not per frame: gob sends each
-// type descriptor once per stream, so a session's thousandth result frame
+// FrameWriter emits length-prefixed, checksummed frames. The payload is
+// either raw bytes (WriteFrame: internal/serve's fixed-layout binary
+// bodies) or the bytes of one Encode call on a persistent gob encoder (the
+// cluster and fleet control wires). Both go through one framing path, so
+// the length cap, the CRC, the outsized-buffer release and the frame
+// counters live in one place.
+//
+// Gob state is per connection, not per frame: gob sends each type
+// descriptor once per stream, so a session's thousandth result frame
 // carries only values — re-encoding descriptors per frame used to dominate
 // the per-batch dispatch cost (gob compileDec/sendActualType in profiles).
 // A reconnect builds a fresh writer on both sides, so reassigned ranges
 // still replay cleanly with no shared state to reconstruct.
 //
-// The codec is message-type agnostic (Encode takes any value gob accepts),
-// so other framed-gob daemons — internal/serve's decision service — reuse
-// it with their own envelope types instead of reimplementing the framing
-// and its length/trailing-bytes hygiene.
-//
 // Not safe for concurrent use; callers serialize writes per connection.
 type FrameWriter struct {
 	w      io.Writer
-	buf    frameBuf // one frame under construction: 4-byte prefix + gob bytes
+	buf    frameBuf // one frame under construction: 8-byte header + payload
 	enc    *gob.Encoder
 	frames *obsv.Counter // optional; see Instrument
 	bytes  *obsv.Counter
@@ -188,28 +190,48 @@ func (fb *frameBuf) Write(p []byte) (int, error) {
 
 // NewFrameWriter returns a frame writer whose codec state lives for the
 // whole connection. Pair it with a NewFrameReader on the receiving side.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	fw := &FrameWriter{w: w}
-	fw.enc = gob.NewEncoder(&fw.buf)
-	return fw
-}
+// The gob encoder is built on first use, so a raw-payload writer never
+// pays for it.
+func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
 // newFrameWriter is the package-internal spelling.
 func newFrameWriter(w io.Writer) *FrameWriter { return NewFrameWriter(w) }
 
-// Encode writes msg as one frame: a 4-byte big-endian length prefix, the
-// payload's CRC-32C, and the gob bytes of exactly one Encode call (which may
-// bundle type descriptors ahead of the value — the matching Decode consumes
-// them all).
+// Encode writes msg as one frame whose payload is the gob bytes of exactly
+// one Encode call (which may bundle type descriptors ahead of the value —
+// the matching Decode consumes them all).
 func (fw *FrameWriter) Encode(msg any) error {
+	if fw.enc == nil {
+		fw.enc = gob.NewEncoder(&fw.buf)
+	}
 	fw.buf.b = append(fw.buf.b[:0], 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
 	if err := fw.enc.Encode(msg); err != nil {
 		return fmt.Errorf("cluster: encode frame: %w", err)
 	}
+	return fw.emit()
+}
+
+// WriteFrame writes payload as one frame: a 4-byte big-endian length
+// prefix, the payload's CRC-32C, and the payload bytes. The payload is
+// copied, so the caller may reuse it as soon as WriteFrame returns. An
+// empty payload is refused, as the reader refuses a zero length.
+func (fw *FrameWriter) WriteFrame(payload []byte) error {
+	if len(payload) == 0 {
+		return errEmptyFrame
+	}
+	fw.buf.b = append(append(fw.buf.b[:0], 0, 0, 0, 0, 0, 0, 0, 0), payload...)
+	return fw.emit()
+}
+
+var errEmptyFrame = errors.New("cluster: empty frame payload")
+
+// emit completes the frame in fw.buf (header placeholder + payload) and
+// writes it to the underlying writer in one call.
+func (fw *FrameWriter) emit() error {
 	b := fw.buf.b
 	payload := len(b) - frameHeaderSize
 	if payload > maxFrameBytes {
-		return fmt.Errorf("cluster: frame of %d bytes exceeds the %d byte cap", payload, maxFrameBytes)
+		return frameTooLarge(payload)
 	}
 	binary.BigEndian.PutUint32(b[:4], uint32(payload))
 	binary.BigEndian.PutUint32(b[4:8], crc32.Checksum(b[frameHeaderSize:], castagnoli))
@@ -226,25 +248,30 @@ func (fw *FrameWriter) Encode(msg any) error {
 	return nil
 }
 
+func frameTooLarge(n int) error {
+	return fmt.Errorf("cluster: frame of %d bytes exceeds the %d byte cap", n, maxFrameBytes)
+}
+
 // write encodes one cluster envelope (the package's own protocol).
 //
 //repolint:ignore wiredeadline transport-agnostic codec: every caller arms a per-frame deadline (epoch.write, the worker flush closure, serve writeFrame), pinned by the coordinator/worker deadline regression tests
 func (fw *FrameWriter) write(env *envelope) error { return fw.Encode(env) }
 
-// FrameReader reads length-prefixed, checksummed frames through one
-// persistent gob decoder (the receive half of FrameWriter's contract). The
-// length prefix is read and bounds-checked before any allocation, preserving
-// the maxFrameBytes guarantee; the payload's CRC-32C is verified before the
-// decoder sees a byte; the payload buffer is reused across frames (gob
-// copies decoded values out, nothing aliases it).
+// FrameReader reads length-prefixed, checksummed frames (the receive half
+// of FrameWriter's contract), either as raw payloads (ReadFrame) or
+// through one persistent gob decoder (Decode). The length prefix is read
+// and bounds-checked before any allocation, preserving the maxFrameBytes
+// guarantee; the payload's CRC-32C is verified before any caller sees a
+// byte; the payload buffer is reused across frames.
 //
 // Errors latch: a framed gob stream has no resynchronization point, so once
-// any Decode fails — framing, checksum or gob — every later Decode returns
+// any read fails — framing, checksum or gob — every later read returns
 // the same error rather than risking misattributed frames.
 //
 // Not safe for concurrent use; one goroutine reads per connection.
 type FrameReader struct {
 	r       io.Reader
+	hdr     [frameHeaderSize]byte // here, not on the stack: io.ReadFull would move it to the heap per frame
 	payload []byte
 	cur     bytes.Reader
 	dec     *gob.Decoder
@@ -262,69 +289,83 @@ func (fr *FrameReader) Instrument(frames, bytes *obsv.Counter) {
 
 // NewFrameReader returns a frame reader for one connection's inbound
 // stream. See NewFrameWriter.
-func NewFrameReader(r io.Reader) *FrameReader {
-	fr := &FrameReader{r: r}
-	// bytes.Reader implements io.ByteReader, so gob adds no buffering of
-	// its own and each Decode consumes exactly the bytes we hand it.
-	fr.dec = gob.NewDecoder(&fr.cur)
-	return fr
-}
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
 // newFrameReader is the package-internal spelling.
 func newFrameReader(r io.Reader) *FrameReader { return NewFrameReader(r) }
 
-// Decode reads one frame and decodes it into msg (a pointer, as for
-// gob.Decoder.Decode). A clean connection close between frames surfaces as
-// io.EOF exactly. Any failure is latched: the stream is unusable afterwards.
-func (fr *FrameReader) Decode(msg any) error {
+// ReadFrame reads one frame and returns its checksum-verified payload. The
+// slice is valid only until the next read: the buffer is reused. A clean
+// connection close between frames surfaces as io.EOF exactly. Any failure
+// is latched: the stream is unusable afterwards.
+func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	if fr.err != nil {
-		return fr.err
+		return nil, fr.err
 	}
-	if err := fr.decode(msg); err != nil {
+	p, err := fr.readFrame()
+	if err != nil {
 		fr.err = err
-		return err
+		return nil, err
 	}
-	return nil
+	return p, nil
 }
 
-func (fr *FrameReader) decode(msg any) error {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		return err // io.EOF signals a clean close between frames
+func (fr *FrameReader) readFrame() ([]byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return nil, err // io.EOF signals a clean close between frames
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	sum := binary.BigEndian.Uint32(hdr[4:8])
+	n := binary.BigEndian.Uint32(fr.hdr[:4])
+	sum := binary.BigEndian.Uint32(fr.hdr[4:8])
 	if n == 0 || n > maxFrameBytes {
-		return fmt.Errorf("cluster: frame length %d outside (0, %d]", n, maxFrameBytes)
+		return nil, fmt.Errorf("cluster: frame length %d outside (0, %d]", n, maxFrameBytes)
 	}
 	if uint32(cap(fr.payload)) < n {
 		fr.payload = make([]byte, n)
 	}
-	fr.payload = fr.payload[:n]
-	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
-		return fmt.Errorf("cluster: read frame body: %w", err)
+	p := fr.payload[:n]
+	if cap(p) > retainFrameBytes {
+		fr.payload = nil // release the outsized backing array once the caller drops p
+	}
+	if _, err := io.ReadFull(fr.r, p); err != nil {
+		return nil, fmt.Errorf("cluster: read frame body: %w", err)
 	}
 	if fr.frames != nil {
 		fr.frames.Inc()
 		fr.nbytes.Add(uint64(frameHeaderSize) + uint64(n))
 	}
-	if got := crc32.Checksum(fr.payload, castagnoli); got != sum {
-		return fmt.Errorf("cluster: frame checksum %08x, want %08x (corrupt stream)", got, sum)
+	if got := crc32.Checksum(p, castagnoli); got != sum {
+		return nil, fmt.Errorf("cluster: frame checksum %08x, want %08x (corrupt stream)", got, sum)
 	}
-	fr.cur.Reset(fr.payload)
-	if cap(fr.payload) > retainFrameBytes {
-		fr.payload = nil // release the outsized backing array after this frame
+	return p, nil
+}
+
+// Decode reads one frame and gob-decodes it into msg (a pointer, as for
+// gob.Decoder.Decode). A clean connection close between frames surfaces
+// as io.EOF exactly. Any failure is latched: the stream is unusable
+// afterwards.
+func (fr *FrameReader) Decode(msg any) error {
+	p, err := fr.ReadFrame()
+	if err != nil {
+		return err
 	}
-	if err := fr.dec.Decode(msg); err != nil {
-		return fmt.Errorf("cluster: decode frame: %w", err)
+	if fr.dec == nil {
+		// bytes.Reader implements io.ByteReader, so gob adds no buffering
+		// of its own and each Decode consumes exactly the bytes we hand it.
+		fr.dec = gob.NewDecoder(&fr.cur)
 	}
-	if fr.cur.Len() != 0 {
-		return fmt.Errorf("cluster: frame has %d trailing bytes after its message", fr.cur.Len())
+	fr.cur.Reset(p)
+	err = fr.dec.Decode(msg)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("cluster: decode frame: %w", err)
+	case fr.cur.Len() != 0:
+		err = fmt.Errorf("cluster: frame has %d trailing bytes after its message", fr.cur.Len())
 	}
-	if fr.payload == nil {
-		fr.cur.Reset(nil) // drop the last reference to the outsized array now
+	fr.cur.Reset(nil) // drop the reference to the payload (it may be outsized)
+	if err != nil {
+		fr.err = err
 	}
-	return nil
+	return err
 }
 
 // read reads and decodes one cluster envelope (the package's own protocol).

@@ -27,7 +27,7 @@
 // Migration contract: a coordinator moves a stripe by draining it on the
 // old owner — install a rejecting view (barring writes to the range),
 // cut a per-range snapshot (consistent because the view is re-read under
-// each shard lock), ship it over the framed-gob/CRC wire, stage it on
+// each shard lock), ship it over the framed-gob/CRC control wire, stage it on
 // the new owner — and then committing the bumped table to every peer:
 // gaining peers first (restore staged ranges, then own them), draining
 // peers second (disown, then drop the moved sessions), bystanders last.

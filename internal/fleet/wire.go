@@ -3,7 +3,8 @@ package fleet
 import "smartexp3/internal/serve"
 
 // The fleet control protocol rides internal/cluster's frame codec (CRC'd
-// length-prefixed gob), like the serve and cluster wires. One
+// length-prefixed gob), like the cluster wire; the serve data wire shares
+// the framing but carries binary bodies. One
 // synchronous caller drives one connection: a coordinator holds one
 // control connection per peer for the lifetime of a rebalance, and
 // everything staged over a connection dies with it — which is what makes

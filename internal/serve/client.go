@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"time"
-
-	"smartexp3/internal/cluster"
 )
 
 // ClientOptions tunes a client connection and its recovery behavior.
@@ -149,9 +146,12 @@ type selection struct {
 }
 
 // Client is one synchronous session against a serve daemon. It buffers
-// feedback and flushes it as one frame before anything that must observe
-// it, so the hot loop costs one round trip per Select and none per
-// Feedback.
+// feedback and sends it as one frame ahead of anything that must observe
+// it, in the same socket write as the Select, Ping or Release behind it,
+// so the hot loop costs one write and one round trip per Select and
+// nothing per Feedback. Messages travel as fixed-layout binary bodies
+// (see wire.go), decoded into per-connection reused buffers, so a warm
+// Select+Feedback allocates nothing.
 //
 // The client self-heals: a transport failure (cut, stall past the frame
 // timeout, corrupted frame) tears the connection down and the operation
@@ -168,10 +168,7 @@ type selection struct {
 // discipline as the cluster session layer.
 type Client struct {
 	opts      ClientOptions
-	conn      net.Conn
-	bw        *bufio.Writer
-	fw        *cluster.FrameWriter
-	fr        *cluster.FrameReader
+	w         *wireConn // nil before the first dial
 	algorithm string
 
 	batch []FeedbackItem // buffered reports not yet written
@@ -251,29 +248,21 @@ func (c *Client) Degraded() bool { return c.degraded }
 // exchange over it. Rejections are permanent: a daemon from the wrong
 // protocol era will reject every future attempt too.
 func (c *Client) handshake(conn net.Conn) error {
-	c.conn = conn
-	c.bw = bufio.NewWriterSize(conn, 32<<10)
-	c.fw = cluster.NewFrameWriter(c.bw)
-	c.fr = cluster.NewFrameReader(bufio.NewReaderSize(conn, 32<<10))
-	c.connected = true
-	if err := c.send(&serveEnvelope{Hello: &serveHelloMsg{Version: serveProtocolVersion}}); err != nil {
-		c.connected = false
+	c.w = newWireConn(conn, c.opts.frameTimeout(), 0)
+	if err := c.w.send(&wireMsg{tag: tagHello, version: serveProtocolVersion}); err != nil {
 		return err
 	}
-	var env serveEnvelope
-	if err := c.recv(&env); err != nil {
-		c.connected = false
-		return err
-	}
+	ack, err := c.w.recv()
 	switch {
-	case env.HelloAck == nil:
-		c.connected = false
+	case err != nil:
+		return err
+	case ack.tag != tagHelloAck:
 		return c.permanent(errors.New("serve: handshake reply is not a hello ack"))
-	case env.HelloAck.Err != "":
-		c.connected = false
-		return c.permanent(fmt.Errorf("serve: handshake rejected: %s", env.HelloAck.Err))
+	case ack.err != "":
+		return c.permanent(fmt.Errorf("serve: handshake rejected: %s", ack.err))
 	}
-	c.algorithm = env.HelloAck.Algorithm
+	c.algorithm = ack.algorithm
+	c.connected = true
 	return nil
 }
 
@@ -282,27 +271,6 @@ func (c *Client) permanent(err error) error {
 		c.permErr = err
 	}
 	return c.permErr
-}
-
-func (c *Client) send(env *serveEnvelope) error {
-	if wt := c.opts.frameTimeout(); wt > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-			return err
-		}
-	}
-	if err := c.fw.Encode(env); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-func (c *Client) recv(env *serveEnvelope) error {
-	if wt := c.opts.frameTimeout(); wt > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
-			return err
-		}
-	}
-	return c.fr.Decode(env)
 }
 
 func (c *Client) usable() error {
@@ -321,8 +289,8 @@ func (c *Client) usable() error {
 // item carries makes resending the safe default. Without a redialer the
 // failure is terminal, matching the historical fail-fast client.
 func (c *Client) dropConn(cause error) {
-	if c.conn != nil {
-		c.conn.Close()
+	if c.w != nil {
+		c.w.conn.Close()
 	}
 	c.connected = false
 	if len(c.sent) > 0 {
@@ -415,18 +383,28 @@ func (c *Client) attempt(op func() error) error {
 	return fmt.Errorf("serve: daemon unreachable after %d attempts: %w", attempts, lastErr)
 }
 
-// writeFeedback moves the unwritten batch to the unconfirmed queue and
-// writes it as one frame. The items stay in sent until a response barrier
-// (a Selected or Pong on the same connection) proves the daemon consumed
-// the stream up to them; a disconnect before that requeues them.
-func (c *Client) writeFeedback() error {
+// queueFeedback moves the unwritten batch to the unconfirmed queue and
+// queues it as one frame; the caller's flush sends it, together with the
+// request queued behind it. The items stay in sent until a response
+// barrier (a select reply or pong on the same connection) proves the
+// daemon consumed the stream up to them; a disconnect before that
+// requeues them.
+func (c *Client) queueFeedback() error {
 	if len(c.batch) == 0 {
 		return nil
 	}
 	n := len(c.sent)
 	c.sent = append(c.sent, c.batch...)
 	c.batch = c.batch[:0]
-	return c.send(&serveEnvelope{Feedback: &feedbackBatchMsg{Items: c.sent[n:]}})
+	return c.w.queue(&wireMsg{tag: tagFeedback, items: c.sent[n:]})
+}
+
+// flushFeedback sends the unwritten batch on its own.
+func (c *Client) flushFeedback() error {
+	if err := c.queueFeedback(); err != nil {
+		return err
+	}
+	return c.w.flush()
 }
 
 // trimFeedback enforces the overload guard: when the queued reports exceed
@@ -500,40 +478,43 @@ func (c *Client) doSelect(device uint64, arms []int) (int, uint64, error) {
 	var arm int
 	var slot uint64
 	err := c.attempt(func() error {
-		if err := c.writeFeedback(); err != nil {
+		if err := c.queueFeedback(); err != nil {
 			return err
 		}
 		c.seq++
-		if err := c.send(&serveEnvelope{Select: &selectMsg{Seq: c.seq, Device: device, Arms: arms}}); err != nil {
+		if err := c.w.queue(&wireMsg{tag: tagSelect, seq: c.seq, device: device, arms: arms}); err != nil {
+			return err
+		}
+		if err := c.w.flush(); err != nil {
 			return err
 		}
 		for {
-			var env serveEnvelope
-			if err := c.recv(&env); err != nil {
+			resp, err := c.w.recv()
+			if err != nil {
 				return err
 			}
-			switch {
-			case env.Selected != nil:
-				if env.Selected.Seq != c.seq {
-					return fmt.Errorf("response seq %d, want %d", env.Selected.Seq, c.seq)
+			switch resp.tag {
+			case tagSelected, tagSelectErr, tagNotOwner:
+				if resp.seq != c.seq {
+					return fmt.Errorf("response seq %d, want %d", resp.seq, c.seq)
 				}
 				c.sent = c.sent[:0] // barrier: the daemon consumed everything before this reply
-				if no := env.Selected.NotOwner; no != nil {
-					return &NotOwnerError{Epoch: no.Epoch, Owner: no.Owner}
+				switch resp.tag {
+				case tagNotOwner:
+					return &NotOwnerError{Epoch: resp.epoch, Owner: resp.owner}
+				case tagSelectErr:
+					return &RequestError{Msg: "serve: " + resp.err}
 				}
-				if env.Selected.Err != "" {
-					return &RequestError{Msg: "serve: " + env.Selected.Err}
-				}
-				arm = env.Selected.Arm
-				slot = env.Selected.Slot
+				arm = resp.arm
+				slot = resp.slot
 				return nil
-			case env.Rejected != nil:
-				c.handleRejected(env.Rejected)
+			case tagRejected:
+				c.handleRejected(resp)
 				continue // bounced feedback; the select response follows
-			case env.Pong != nil:
+			case tagPong:
 				continue // late keepalive answer; the select response follows
 			default:
-				return errors.New("unexpected frame awaiting selection")
+				return fmt.Errorf("unexpected %v frame awaiting selection", resp.tag)
 			}
 		}
 	})
@@ -544,9 +525,9 @@ func (c *Client) doSelect(device uint64, arms []int) (int, uint64, error) {
 // callback. Without one the items are discarded: the daemon applied
 // nothing for them, and a plain single-store client has nowhere better
 // to send them.
-func (c *Client) handleRejected(msg *feedbackRejectedMsg) {
+func (c *Client) handleRejected(msg *wireMsg) {
 	if c.opts.OnRejected != nil {
-		c.opts.OnRejected(msg.Epoch, msg.Items)
+		c.opts.OnRejected(msg.epoch, msg.items)
 	}
 }
 
@@ -599,9 +580,7 @@ func (c *Client) Feedback(device uint64, arm int, reward float64) error {
 		c.opts.Fallback.Feedback(device, arm, sel.slot, reward)
 		return nil
 	}
-	c.batch = append(c.batch, FeedbackItem{Device: device, Arm: arm, Slot: sel.slot, Reward: reward})
-	c.trimFeedback()
-	return c.maybeFlushFeedback()
+	return c.enqueue(FeedbackItem{Device: device, Arm: arm, Slot: sel.slot, Reward: reward})
 }
 
 // FeedbackSlot buffers one reward report quoting an explicit slot,
@@ -612,9 +591,7 @@ func (c *Client) FeedbackSlot(device uint64, arm int, slot uint64, reward float6
 	if err := c.usable(); err != nil {
 		return err
 	}
-	c.batch = append(c.batch, FeedbackItem{Device: device, Arm: arm, Slot: slot, Reward: reward})
-	c.trimFeedback()
-	return c.maybeFlushFeedback()
+	return c.enqueue(FeedbackItem{Device: device, Arm: arm, Slot: slot, Reward: reward})
 }
 
 // EnqueueFeedback buffers already-formed reports — the re-delivery path
@@ -626,17 +603,25 @@ func (c *Client) EnqueueFeedback(items []FeedbackItem) error {
 	if err := c.usable(); err != nil {
 		return err
 	}
-	c.batch = append(c.batch, items...)
-	c.trimFeedback()
-	return c.maybeFlushFeedback()
+	return c.enqueue(items...)
 }
 
-// maybeFlushFeedback is the eager batch-size flush shared by the
-// feedback entry points. Best-effort: a transport failure just drops the
-// connection and the reports ride along on the next operation.
-func (c *Client) maybeFlushFeedback() error {
+// enqueue buffers reports for the wire, shared by the feedback entry
+// points, and makes the eager batch-size flush. The flush is best-effort:
+// a transport failure just drops the connection and the reports ride
+// along on the next operation. An arm id outside the wire's 32-bit field
+// is refused up front: no selection could have carried it, and queued it
+// would fail every later frame.
+func (c *Client) enqueue(items ...FeedbackItem) error {
+	for i := range items {
+		if !fitsArm(items[i].Arm) {
+			return armRange(items[i].Arm)
+		}
+	}
+	c.batch = append(c.batch, items...)
+	c.trimFeedback()
 	if len(c.batch)+len(c.sent) >= c.opts.feedbackBatch() && c.connected && !c.degraded {
-		if err := c.writeFeedback(); err != nil {
+		if err := c.flushFeedback(); err != nil {
 			c.dropConn(err)
 			if c.permErr != nil {
 				return c.permErr
@@ -656,7 +641,7 @@ func (c *Client) Flush() error {
 	if len(c.batch) == 0 || c.degraded {
 		return nil
 	}
-	return c.attempt(c.writeFeedback)
+	return c.attempt(c.flushFeedback)
 }
 
 // Release flushes feedback, then retires the given device sessions (on the
@@ -676,10 +661,13 @@ func (c *Client) Release(devices ...uint64) error {
 		return nil
 	}
 	return c.attempt(func() error {
-		if err := c.writeFeedback(); err != nil {
+		if err := c.queueFeedback(); err != nil {
 			return err
 		}
-		return c.send(&serveEnvelope{Release: &releaseMsg{Devices: devices}})
+		if err := c.w.queue(&wireMsg{tag: tagRelease, devices: devices}); err != nil {
+			return err
+		}
+		return c.w.flush()
 	})
 }
 
@@ -691,23 +679,26 @@ func (c *Client) Ping() error {
 		return err
 	}
 	err := c.attempt(func() error {
-		if err := c.writeFeedback(); err != nil {
+		if err := c.queueFeedback(); err != nil {
 			return err
 		}
 		c.pingSeq++
-		if err := c.send(&serveEnvelope{Ping: &servePingMsg{Seq: c.pingSeq}}); err != nil {
+		if err := c.w.queue(&wireMsg{tag: tagPing, seq: c.pingSeq}); err != nil {
+			return err
+		}
+		if err := c.w.flush(); err != nil {
 			return err
 		}
 		for {
-			var env serveEnvelope
-			if err := c.recv(&env); err != nil {
+			resp, err := c.w.recv()
+			if err != nil {
 				return err
 			}
-			if env.Rejected != nil {
-				c.handleRejected(env.Rejected)
+			if resp.tag == tagRejected {
+				c.handleRejected(resp)
 				continue // bounced feedback; the pong follows
 			}
-			if env.Pong == nil || env.Pong.Seq != c.pingSeq {
+			if resp.tag != tagPong || resp.seq != c.pingSeq {
 				return errors.New("unexpected frame awaiting pong")
 			}
 			c.sent = c.sent[:0] // barrier, as for Select
@@ -730,11 +721,11 @@ func (c *Client) Close() error {
 	c.closed = true
 	var flushErr error
 	if c.permErr == nil && c.connected && !c.degraded {
-		flushErr = c.writeFeedback()
+		flushErr = c.flushFeedback()
 	}
 	var closeErr error
-	if c.conn != nil {
-		closeErr = c.conn.Close()
+	if c.w != nil {
+		closeErr = c.w.conn.Close()
 	}
 	if flushErr != nil {
 		return flushErr

@@ -35,13 +35,17 @@ func (fuzzAddr) Network() string { return "fuzz" }
 func (fuzzAddr) String() string  { return "fuzz" }
 
 // encodeServeFrames renders a client request sequence exactly as a real
-// client would: one persistent encoder per connection.
-func encodeServeFrames(tb testing.TB, envs ...*serveEnvelope) []byte {
+// client would: one binary body per message, each in its own frame.
+func encodeServeFrames(tb testing.TB, msgs ...*wireMsg) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	fw := cluster.NewFrameWriter(&buf)
-	for _, env := range envs {
-		if err := fw.Encode(env); err != nil {
+	for _, m := range msgs {
+		body, err := encodeMsg(nil, m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := fw.WriteFrame(body); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -53,24 +57,24 @@ func encodeServeFrames(tb testing.TB, envs ...*serveEnvelope) []byte {
 // framing corruptions.
 func fuzzServeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	hello := &serveEnvelope{Hello: &serveHelloMsg{Version: serveProtocolVersion}}
-	sel := &serveEnvelope{Select: &selectMsg{Seq: 1, Device: 7, Arms: []int{1, 2, 3}}}
-	fb := &serveEnvelope{Feedback: &feedbackBatchMsg{Items: []FeedbackItem{
+	hello := &wireMsg{tag: tagHello, version: serveProtocolVersion}
+	sel := &wireMsg{tag: tagSelect, seq: 1, device: 7, arms: []int{1, 2, 3}}
+	fb := &wireMsg{tag: tagFeedback, items: []FeedbackItem{
 		{Device: 7, Arm: 2, Reward: 0.5},
 		{Device: 9, Arm: 1, Reward: 2},
-	}}}
+	}}
 	seeds := [][]byte{
 		encodeServeFrames(tb, hello),
 		encodeServeFrames(tb, hello, sel, fb,
-			&serveEnvelope{Ping: &servePingMsg{Seq: 1}},
-			&serveEnvelope{Release: &releaseMsg{Devices: []uint64{7}}}),
-		encodeServeFrames(tb, &serveEnvelope{Hello: &serveHelloMsg{Version: 99}}),
+			&wireMsg{tag: tagPing, seq: 1},
+			&wireMsg{tag: tagRelease, devices: []uint64{7}}),
+		encodeServeFrames(tb, &wireMsg{tag: tagHello, version: 99}),
 		// Hostile requests a conforming codec can still deliver.
-		encodeServeFrames(tb, hello, &serveEnvelope{Select: &selectMsg{Seq: 1, Device: 1, Arms: []int{}}}),
-		encodeServeFrames(tb, hello, &serveEnvelope{Select: &selectMsg{Seq: 1, Device: 1, Arms: []int{5, 5, 1}}}),
-		encodeServeFrames(tb, hello, &serveEnvelope{Select: &selectMsg{Seq: 1, Device: 1, Arms: make([]int, 5000)}}),
-		encodeServeFrames(tb, hello, &serveEnvelope{}), // empty union
-		encodeServeFrames(tb, hello, &serveEnvelope{Pong: &servePongMsg{Seq: 1}}),
+		encodeServeFrames(tb, hello, &wireMsg{tag: tagSelect, seq: 1, device: 1, arms: []int{}}),
+		encodeServeFrames(tb, hello, &wireMsg{tag: tagSelect, seq: 1, device: 1, arms: []int{5, 5, 1}}),
+		encodeServeFrames(tb, hello, &wireMsg{tag: tagSelect, seq: 1, device: 1, arms: make([]int, 5000)}),
+		encodeServeFrames(tb, hello, &wireMsg{tag: tagHelloAck}), // a server-only message
+		encodeServeFrames(tb, hello, &wireMsg{tag: tagPong, seq: 1}),
 		// Framing corruptions.
 		{0, 0, 0, 0},
 		{0xff, 0xff, 0xff, 0xff, 0},

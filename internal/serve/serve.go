@@ -7,9 +7,9 @@
 // Engine/Workspace: the Store owns the hot per-device policy state (sharded
 // across GOMAXPROCS-scaled shards, each under its own mutex, with retired
 // policies pooled through core.Reinitializer so device churn is
-// allocation-free warm), while Server/Client own the framed-gob transport,
-// reusing internal/cluster's frame codec so the two daemons share one wire
-// discipline.
+// allocation-free warm), while Server/Client own the transport: fixed-layout
+// binary message bodies (wire.go) inside internal/cluster's length-prefixed
+// CRC-32C frames, so the two daemons share one framing discipline.
 //
 // Determinism contract: a Store is a pure function of (Algorithm, Policy
 // config, Seed) and the sequence of requests applied to it. Each device

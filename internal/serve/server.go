@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
-
-	"smartexp3/internal/cluster"
 )
 
 // ServerOptions tunes the transport, not the decisions.
@@ -100,103 +97,92 @@ func (s *Server) track(conn net.Conn, add bool) {
 // serveConn runs one connection's request loop: handshake, then frames
 // until the peer closes, errors, or goes silent past the frame timeout.
 func (s *Server) serveConn(conn net.Conn) error {
-	wt := s.opts.frameTimeout()
-	fr := cluster.NewFrameReader(bufio.NewReaderSize(conn, 32<<10))
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	fw := cluster.NewFrameWriter(bw)
+	w := newWireConn(conn, s.opts.frameTimeout(), s.store.cfg.MaxArms)
 	if m := s.opts.Metrics; m != nil {
 		m.Connections.Inc()
 		m.Active.Add(1)
 		defer m.Active.Add(-1)
-		fr.Instrument(m.FramesRead, m.BytesRead)
-		fw.Instrument(m.FramesWritten, m.BytesWritten)
-	}
-	send := func(env *serveEnvelope) error {
-		if wt > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
-		if err := fw.Encode(env); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	recv := func(env *serveEnvelope) error {
-		if wt > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
-		return fr.Decode(env)
+		w.fr.Instrument(m.FramesRead, m.BytesRead)
+		w.fw.Instrument(m.FramesWritten, m.BytesWritten)
 	}
 
-	var env serveEnvelope
-	if err := recv(&env); err != nil {
+	hello, err := w.recv()
+	if err != nil {
 		return err
 	}
-	if env.Hello == nil {
+	if hello.tag != tagHello {
 		return fmt.Errorf("serve: first frame is not a hello")
 	}
-	if env.Hello.Version != serveProtocolVersion {
-		_ = send(&serveEnvelope{HelloAck: &serveHelloAckMsg{
-			Version: serveProtocolVersion,
-			Err:     fmt.Sprintf("protocol version %d, want %d", env.Hello.Version, serveProtocolVersion),
-		}})
-		return fmt.Errorf("serve: client speaks protocol %d, want %d", env.Hello.Version, serveProtocolVersion)
+	if v := hello.version; v != serveProtocolVersion {
+		_ = w.send(&wireMsg{
+			tag:     tagHelloAck,
+			version: serveProtocolVersion,
+			err:     fmt.Sprintf("protocol version %d, want %d", v, serveProtocolVersion),
+		})
+		return fmt.Errorf("serve: client speaks protocol %d, want %d", v, serveProtocolVersion)
 	}
-	if err := send(&serveEnvelope{HelloAck: &serveHelloAckMsg{
-		Version:   serveProtocolVersion,
-		Algorithm: s.store.cfg.Algorithm.String(),
-	}}); err != nil {
+	if err := w.send(&wireMsg{
+		tag:       tagHelloAck,
+		version:   serveProtocolVersion,
+		algorithm: s.store.cfg.Algorithm.String(),
+	}); err != nil {
 		return err
 	}
 
 	var rejects []FeedbackItem // retained across batches; rejections are the cold migration path
 	for {
-		env = serveEnvelope{}
-		if err := recv(&env); err != nil {
+		req, err := w.recv()
+		if err != nil {
+			var lim *armLimitError
+			if errors.As(err, &lim) { // a bad request, answered like any other
+				if err := w.send(&wireMsg{tag: tagSelectErr, seq: req.seq, err: lim.Error()}); err != nil {
+					return err
+				}
+				continue
+			}
 			if errors.Is(err, io.EOF) {
 				return nil // clean close between frames
 			}
 			return err
 		}
-		switch {
-		case env.Select != nil:
-			req := env.Select
-			arm, slot, err := s.store.Select(req.Device, req.Arms)
-			resp := &selectedMsg{Seq: req.Seq, Arm: arm, Slot: slot}
+		switch req.tag {
+		case tagSelect:
+			arm, slot, err := s.store.Select(req.device, req.arms)
+			resp := wireMsg{tag: tagSelected, seq: req.seq, arm: arm, slot: slot}
 			if err != nil {
-				var no *NotOwnerError
-				if errors.As(err, &no) {
-					resp.NotOwner = &notOwnerMsg{Epoch: no.Epoch, Owner: no.Owner}
-				} else {
-					resp.Err = err.Error()
-				}
+				resp = selectRejection(req.seq, err)
 			}
-			if err := send(&serveEnvelope{Selected: resp}); err != nil {
+			if err := w.send(&resp); err != nil {
 				return err
 			}
-		case env.Feedback != nil:
+		case tagFeedback:
 			var epoch uint64
-			_, rejects, epoch = s.store.ApplyBatchOwned(env.Feedback.Items, rejects)
+			_, rejects, epoch = s.store.ApplyBatchOwned(req.items, rejects)
 			if len(rejects) > 0 {
-				if err := send(&serveEnvelope{Rejected: &feedbackRejectedMsg{Epoch: epoch, Items: rejects}}); err != nil {
+				if err := w.send(&wireMsg{tag: tagRejected, epoch: epoch, items: rejects}); err != nil {
 					return err
 				}
 			}
-		case env.Release != nil:
-			for _, id := range env.Release.Devices {
+		case tagRelease:
+			for _, id := range req.devices {
 				s.store.Release(id)
 			}
-		case env.Ping != nil:
-			if err := send(&serveEnvelope{Pong: &servePongMsg{Seq: env.Ping.Seq}}); err != nil {
+		case tagPing:
+			if err := w.send(&wireMsg{tag: tagPong, seq: req.seq}); err != nil {
 				return err
 			}
-		case env.Pong != nil, env.Hello != nil, env.HelloAck != nil, env.Selected != nil, env.Rejected != nil:
-			return fmt.Errorf("serve: unexpected frame from client")
 		default:
-			return fmt.Errorf("serve: empty frame")
+			return fmt.Errorf("serve: unexpected %v frame from client", req.tag)
 		}
 	}
+}
+
+// selectRejection is the reply to a select the store refused: a redirect
+// when another fleet peer owns the device, otherwise a request error.
+func selectRejection(seq uint64, err error) wireMsg {
+	var no *NotOwnerError
+	if errors.As(err, &no) {
+		return wireMsg{tag: tagNotOwner, seq: seq, epoch: no.Epoch, owner: no.Owner}
+	}
+	return wireMsg{tag: tagSelectErr, seq: seq, err: err.Error()}
 }

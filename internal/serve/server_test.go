@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"smartexp3/internal/cluster"
 )
 
 // startServer serves a fresh store on loopback and returns its address.
@@ -124,17 +122,16 @@ func TestServerRejectsVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fw := cluster.NewFrameWriter(conn)
-	fr := cluster.NewFrameReader(conn)
-	if err := fw.Encode(&serveEnvelope{Hello: &serveHelloMsg{Version: serveProtocolVersion + 1}}); err != nil {
+	w := newWireConn(conn, 0, 0)
+	if err := w.send(&wireMsg{tag: tagHello, version: serveProtocolVersion + 1}); err != nil {
 		t.Fatal(err)
 	}
-	var env serveEnvelope
-	if err := fr.Decode(&env); err != nil {
+	ack, err := w.recv()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if env.HelloAck == nil || env.HelloAck.Err == "" {
-		t.Fatalf("version mismatch was not rejected: %+v", env)
+	if ack.tag != tagHelloAck || ack.err == "" {
+		t.Fatalf("version mismatch was not rejected: %+v", ack)
 	}
 }
 
