@@ -98,7 +98,7 @@
 //     instance plus one seeded RNG stream per device, pooled and
 //     reinitialized in place so device churn is allocation-free warm.
 //     Requests travel as fixed-layout binary bodies in the cluster layer's
-//     CRC frames (cluster.FrameWriter/FrameReader) with batched
+//     CRC frames (cluster.Conn) with batched
 //     fire-and-forget feedback. The store is a pure function of (algorithm, config, seed)
 //     and the request history: devices draw from independent
 //     rngutil.ChildSeed streams, snapshots serialize devices in sorted id
@@ -109,9 +109,9 @@
 //     self-healing end to end: selections carry slot ids so the store
 //     deduplicates replayed requests, the client redials with capped
 //     exponential backoff and resends unconfirmed feedback (transparent to
-//     callers, optionally degrading to a local fallback store), and the
-//     daemon evicts idle device sessions on a TTL without bending
-//     determinism — an evicted device re-joins from its per-device seed.
+//     callers), and the daemon evicts idle device sessions on a TTL
+//     without bending determinism — an evicted device re-joins from its
+//     per-device seed.
 //     internal/chaos pins all of it: a deterministic, seeded
 //     fault-injection net.Conn wrapper and in-process TCP proxy (latency,
 //     bit flips, mid-frame cuts, stalls at replayable byte offsets) under

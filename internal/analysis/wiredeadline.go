@@ -7,10 +7,10 @@ import (
 
 // runWireDeadline flags, in the wire packages, any connection or frame
 // write inside a function that never arms a write deadline. The repo's
-// discipline (cluster epoch.write, the worker's flush closure, the
-// serve client/server writeFrame paths) is per-frame deadlines in the
-// same function as the write; a helper that deliberately leaves arming
-// to its callers carries a waiver saying which caller arms.
+// discipline is per-frame deadlines in the same function as the write,
+// and cluster.Conn's frame writes are the one place every wire arms
+// them; a helper that deliberately leaves arming to its callers carries
+// a waiver saying which caller arms.
 func runWireDeadline(p *Package, cfg *Config) []Diagnostic {
 	if !containsPath(cfg.WirePackages, p.Path) {
 		return nil
@@ -26,7 +26,7 @@ func runWireDeadline(p *Package, cfg *Config) []Diagnostic {
 
 // functionBody is one analysis unit: a FuncDecl or FuncLit body.
 // Function literals are separate units — a closure that writes must arm
-// its own deadline (the worker's flush closure is the model).
+// its own deadline.
 type functionBody struct {
 	node ast.Node // the FuncDecl or FuncLit
 	body *ast.BlockStmt

@@ -62,7 +62,7 @@ func (o Options) dialTimeout() time.Duration {
 
 func (o Options) frameTimeout() time.Duration {
 	if o.FrameTimeout <= 0 {
-		return 2 * time.Minute
+		return defaultFrameTimeout
 	}
 	return o.FrameTimeout
 }

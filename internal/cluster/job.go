@@ -47,7 +47,9 @@
 // TLS — shardd is meant to run inside a trusted cluster network behind the
 // operator's own orchestration, and a dead or unreachable worker is handled
 // by the two mechanisms that matter for correctness: range reassignment and
-// bounded reconnects.
+// bounded reconnects. The framed connection under it (Conn: buffers,
+// frame codec, per-frame deadlines, idempotent Close) and the tracked
+// accept loop (Acceptor) are shared with the serve and fleet wires.
 package cluster
 
 import (

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -533,11 +532,8 @@ type epoch struct {
 	s  *Session
 	sh *shard
 
-	conn net.Conn
-	bw   *bufio.Writer
-	fw   *FrameWriter // persistent gob state; guarded by wmu with bw
-	fr   *FrameReader // reader goroutine only (handshake happens before it starts)
-	wmu  sync.Mutex   // serializes writer-loop and keepalive writes
+	conn *Conn      // read by the reader goroutine only (handshake happens before it starts)
+	wmu  sync.Mutex // serializes writer-loop and keepalive writes
 
 	dead atomic.Bool
 
@@ -550,19 +546,13 @@ type epoch struct {
 	progressed bool // at least one chunk delivered this epoch
 }
 
-// write sends one frame under a fresh write deadline. Deadlines are per
-// frame: a stalled peer surfaces within the frame timeout instead of
-// blocking the session on a full TCP buffer.
+// write sends one frame under a fresh write deadline (the Conn's): a
+// stalled peer surfaces within the frame timeout instead of blocking the
+// session on a full TCP buffer.
 func (e *epoch) write(env *envelope) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if err := e.conn.SetWriteDeadline(time.Now().Add(e.s.opts.frameTimeout())); err != nil {
-		return err
-	}
-	if err := e.fw.write(env); err != nil {
-		return err
-	}
-	if err := e.bw.Flush(); err != nil {
+	if err := e.conn.Encode(env); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -581,9 +571,9 @@ func (e *epoch) write(env *envelope) error {
 // against concurrent dispatch.
 func (e *epoch) refreshReadDeadlineLocked() {
 	if len(e.inflight) > 0 || e.pings > 0 {
-		e.conn.SetReadDeadline(time.Now().Add(e.s.opts.frameTimeout()))
+		e.conn.nc.SetReadDeadline(time.Now().Add(e.s.opts.frameTimeout()))
 	} else {
-		e.conn.SetReadDeadline(time.Time{})
+		e.conn.nc.SetReadDeadline(time.Time{})
 	}
 }
 
@@ -605,18 +595,16 @@ func (e *epoch) kill(err error) {
 // whether any chunk was delivered (progress resets the strike count) and
 // whether the failure is permanent for this shard.
 func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool, err error) {
+	// Read deadline 0: refreshReadDeadlineLocked arms it only while a
+	// reply is owed.
 	e := &epoch{
 		s:       s,
 		sh:      sh,
-		conn:    conn,
-		bw:      bufio.NewWriter(conn),
-		fr:      newFrameReader(bufio.NewReader(conn)),
+		conn:    NewConn(conn, connBufSize, 0, s.opts.frameTimeout()),
 		shipped: make(map[uint64]*jobRun),
 	}
-	e.fw = newFrameWriter(e.bw)
 	if m := s.opts.Metrics; m != nil {
-		e.fr.Instrument(m.FramesRead, m.BytesRead)
-		e.fw.Instrument(m.FramesWritten, m.BytesWritten)
+		e.conn.Instrument(m.FramesRead, m.BytesRead, m.FramesWritten, m.BytesWritten)
 	}
 
 	// Handshake under the frame timeout.
@@ -624,15 +612,15 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 		return false, false, err
 	}
 	conn.SetReadDeadline(time.Now().Add(s.opts.frameTimeout()))
-	env, err := e.fr.read()
-	if err != nil {
+	var hello envelope
+	if err := e.conn.Decode(&hello); err != nil {
 		return false, false, err
 	}
-	if env.HelloAck == nil {
+	if hello.HelloAck == nil {
 		return false, true, errors.New("protocol: expected hello ack")
 	}
-	if env.HelloAck.Err != "" {
-		return false, true, fmt.Errorf("rejected: %s", env.HelloAck.Err)
+	if hello.HelloAck.Err != "" {
+		return false, true, fmt.Errorf("rejected: %s", hello.HelloAck.Err)
 	}
 	// Idle until the first dispatch or ping arms the deadline again — the
 	// session may sit between batches far longer than the frame timeout.
@@ -645,7 +633,7 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 	go func() { defer wg.Done(); e.keepaliveLoop(done) }()
 	e.writerLoop()
 	close(done)
-	conn.Close() // writer exited: release the reader whatever it is blocked on
+	e.conn.Close() // writer exited: release the reader whatever it is blocked on
 	wg.Wait()
 
 	// Reassign everything this connection still owed. Requeue happens after
@@ -852,8 +840,8 @@ func (e *epoch) keepaliveLoop(done chan struct{}) {
 func (e *epoch) readerLoop() {
 	var cur []*sim.Result // results of the FIFO-head range
 	for {
-		env, err := e.fr.read()
-		if err != nil {
+		var env envelope
+		if err := e.conn.Decode(&env); err != nil {
 			e.kill(err)
 			return
 		}

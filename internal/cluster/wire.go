@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -8,6 +9,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"sync"
+	"time"
 
 	"smartexp3/internal/obsv"
 	"smartexp3/internal/sim"
@@ -31,6 +35,12 @@ const protocolVersion = 3
 // experiments run; the cap exists so a corrupt or hostile length prefix
 // cannot make a peer allocate unbounded memory.
 const maxFrameBytes = 64 << 20
+
+// connBufSize is the cluster wire's bufio size per direction (bufio's
+// default). A larger buffer would buy nothing, since every cluster frame
+// is flushed on its own, and would cost memory in a process hosting many
+// connection ends.
+const connBufSize = 4 << 10
 
 // envelope is the one-of union every frame carries: exactly one field is
 // non-nil. gob encodes nil pointers as absent, so the frame overhead of the
@@ -254,7 +264,7 @@ func frameTooLarge(n int) error {
 
 // write encodes one cluster envelope (the package's own protocol).
 //
-//repolint:ignore wiredeadline transport-agnostic codec: every caller arms a per-frame deadline (epoch.write, the worker flush closure, serve writeFrame), pinned by the coordinator/worker deadline regression tests
+//repolint:ignore wiredeadline transport-agnostic codec: connection ends write through Conn, the one place that arms per-frame deadlines (pinned by TestConnDeadlineUnblocksStalledPeer and the coordinator/worker deadline tests); only tests drive this helper directly
 func (fw *FrameWriter) write(env *envelope) error { return fw.Encode(env) }
 
 // FrameReader reads length-prefixed, checksummed frames (the receive half
@@ -375,4 +385,185 @@ func (fr *FrameReader) read() (*envelope, error) {
 		return nil, err
 	}
 	return &env, nil
+}
+
+// defaultFrameTimeout is the per-frame deadline every wire uses unless
+// configured otherwise: long enough for a multi-MB snapshot or result
+// frame, short enough that a stalled peer is noticed.
+const defaultFrameTimeout = 2 * time.Minute
+
+// FrameTimeout resolves a per-frame timeout option the way the serve,
+// fleet and worker options spell it: zero means the 2-minute default,
+// negative disables deadlines (the result is 0, which Conn reads as "arm
+// none" — synchronous in-memory pipes in tests).
+func FrameTimeout(opt time.Duration) time.Duration {
+	switch {
+	case opt < 0:
+		return 0
+	case opt == 0:
+		return defaultFrameTimeout
+	}
+	return opt
+}
+
+// Conn is one end of a framed connection: the socket, its buffered reader
+// and writer, the frame codec over them, and per-frame deadlines. The
+// cluster session, the serve wire and the fleet control wire all run over
+// it, so arming deadlines, flushing and closing live in one place.
+//
+// WriteFrame queues a raw frame in the write buffer and Flush sends the
+// queue, so a caller can put several frames in one socket write. Encode
+// writes one gob frame and flushes it: the gob wires send one message per
+// write. Every frame write arms the write deadline, not every flush,
+// because a frame larger than the buffer's free space writes through to
+// the socket at once. Every frame read arms the read deadline.
+//
+// Writes must be serialized and reads made from one goroutine; Close may
+// be called from any goroutine, which is how a blocked end is cut loose.
+type Conn struct {
+	nc           net.Conn
+	bw           *bufio.Writer
+	fw           *FrameWriter
+	fr           *FrameReader
+	readTimeout  time.Duration // per-frame read deadline; 0 arms none
+	writeTimeout time.Duration // per-frame write deadline; 0 arms none
+	closeOnce    sync.Once
+}
+
+// NewConn frames nc with bufSize-byte read and write buffers. A zero
+// timeout arms no deadline on that side; a caller that needs a deadline
+// only while a reply is owed (the cluster session) passes 0 and manages
+// the read deadline itself.
+func NewConn(nc net.Conn, bufSize int, readTimeout, writeTimeout time.Duration) *Conn {
+	bw := bufio.NewWriterSize(nc, bufSize)
+	return &Conn{
+		nc:           nc,
+		bw:           bw,
+		fw:           NewFrameWriter(bw),
+		fr:           NewFrameReader(bufio.NewReaderSize(nc, bufSize)),
+		readTimeout:  readTimeout,
+		writeTimeout: writeTimeout,
+	}
+}
+
+// Instrument counts frames and wire bytes in each direction on the given
+// counters (a direction's pair must be non-nil together). Call it before
+// the connection carries traffic.
+func (c *Conn) Instrument(framesRead, bytesRead, framesWritten, bytesWritten *obsv.Counter) {
+	c.fr.Instrument(framesRead, bytesRead)
+	c.fw.Instrument(framesWritten, bytesWritten)
+}
+
+// WriteFrame queues payload as one raw frame for the next Flush. The
+// payload is copied, so the caller may reuse it at once.
+func (c *Conn) WriteFrame(payload []byte) error {
+	if c.writeTimeout > 0 {
+		if err := c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
+			return err
+		}
+	}
+	return c.fw.WriteFrame(payload)
+}
+
+// Encode writes msg as one gob frame and flushes it.
+func (c *Conn) Encode(msg any) error {
+	if c.writeTimeout > 0 {
+		if err := c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
+			return err
+		}
+	}
+	if err := c.fw.Encode(msg); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// Flush sends every queued frame, under the deadline the last frame write
+// armed.
+func (c *Conn) Flush() error { return c.bw.Flush() }
+
+// ReadFrame reads one raw frame; see FrameReader.ReadFrame.
+func (c *Conn) ReadFrame() ([]byte, error) {
+	if err := c.armRead(); err != nil {
+		return nil, err
+	}
+	return c.fr.ReadFrame()
+}
+
+// Decode reads one gob frame into msg; see FrameReader.Decode.
+func (c *Conn) Decode(msg any) error {
+	if err := c.armRead(); err != nil {
+		return err
+	}
+	return c.fr.Decode(msg)
+}
+
+func (c *Conn) armRead() error {
+	if c.readTimeout > 0 {
+		return c.nc.SetReadDeadline(time.Now().Add(c.readTimeout))
+	}
+	return nil
+}
+
+// Close closes the socket. Only the first call closes it and reports the
+// result; later calls return nil, so a connection already dropped after
+// a transport failure can be closed again without a spurious error.
+func (c *Conn) Close() error {
+	var err error
+	c.closeOnce.Do(func() { err = c.nc.Close() })
+	return err
+}
+
+// Acceptor is an accept loop that tracks its live connections, so a
+// daemon can cut them all at shutdown. The zero value is ready to use.
+type Acceptor struct {
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+}
+
+// Serve accepts connections on ln until it fails, running handle on each
+// in its own goroutine and closing the connection when handle returns.
+// It then waits for every handler and returns the accept error
+// (net.ErrClosed once the listener is closed).
+func (a *Acceptor) Serve(ln net.Listener, handle func(net.Conn) error) error {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		a.track(conn, true)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer a.track(conn, false)
+			defer conn.Close()
+			_ = handle(conn) // a handler's failure ends only its own connection
+		}()
+	}
+}
+
+// Close closes every live connection, unblocking its handler. Pair it
+// with closing the listener; Serve then returns without waiting out
+// frame timeouts.
+func (a *Acceptor) Close() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for conn := range a.conns {
+		conn.Close()
+	}
+}
+
+func (a *Acceptor) track(conn net.Conn, add bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !add {
+		delete(a.conns, conn)
+		return
+	}
+	if a.conns == nil {
+		a.conns = make(map[net.Conn]struct{})
+	}
+	a.conns[conn] = struct{}{}
 }

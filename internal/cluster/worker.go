@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"errors"
@@ -45,15 +44,7 @@ func (o WorkerOptions) logf(format string, args ...any) {
 	}
 }
 
-func (o WorkerOptions) writeTimeout() time.Duration {
-	if o.WriteTimeout < 0 {
-		return 0
-	}
-	if o.WriteTimeout == 0 {
-		return 2 * time.Minute
-	}
-	return o.WriteTimeout
-}
+func (o WorkerOptions) writeTimeout() time.Duration { return FrameTimeout(o.WriteTimeout) }
 
 // maxIdleEngines bounds how many compiled engines with no live job a worker
 // session keeps warm. The experiment suite's dominant pattern is many
@@ -185,43 +176,29 @@ func configKey(wc WireConfig) (string, error) {
 // relies on. Keepalive pings are answered in the same loop: while a range is
 // executing the coordinator sees progress through the result stream instead.
 func serveConn(conn net.Conn, opts WorkerOptions) error {
-	bw := bufio.NewWriter(conn)
-	fw := newFrameWriter(bw)
-	fr := newFrameReader(bufio.NewReader(conn))
+	// No read deadline: the worker waits indefinitely between batches. The
+	// write deadline mirrors the coordinator's: a peer that stopped
+	// draining surfaces within it instead of parking this goroutine on a
+	// full TCP buffer for good.
+	c := NewConn(conn, connBufSize, 0, opts.writeTimeout())
 	m := opts.Metrics
 	if m != nil {
 		m.Sessions.Inc()
-		fr.Instrument(m.FramesRead, m.BytesRead)
-		fw.Instrument(m.FramesWritten, m.BytesWritten)
-	}
-	wt := opts.writeTimeout()
-	flush := func(env *envelope) error {
-		// Per-frame write deadline, like the coordinator's epoch.write: a
-		// peer that stopped draining surfaces within the timeout instead of
-		// parking this goroutine on a full TCP buffer for good.
-		if wt > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
-		if err := fw.write(env); err != nil {
-			return err
-		}
-		return bw.Flush()
+		c.Instrument(m.FramesRead, m.BytesRead, m.FramesWritten, m.BytesWritten)
 	}
 
-	env, err := fr.read()
-	if err != nil {
+	var hello envelope
+	if err := c.Decode(&hello); err != nil {
 		return fmt.Errorf("reading hello: %w", err)
 	}
-	if env.Hello == nil {
+	if hello.Hello == nil {
 		return errors.New("protocol: expected hello")
 	}
 	ack := helloAckMsg{Version: protocolVersion}
-	if env.Hello.Version != protocolVersion {
-		ack.Err = fmt.Sprintf("protocol version %d, worker speaks %d", env.Hello.Version, protocolVersion)
+	if hello.Hello.Version != protocolVersion {
+		ack.Err = fmt.Sprintf("protocol version %d, worker speaks %d", hello.Hello.Version, protocolVersion)
 	}
-	if err := flush(&envelope{HelloAck: &ack}); err != nil {
+	if err := c.Encode(&envelope{HelloAck: &ack}); err != nil {
 		return err
 	}
 	if ack.Err != "" {
@@ -235,8 +212,8 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 		jobKeys: make(map[uint64]string),
 	}
 	for {
-		env, err := fr.read()
-		if err != nil {
+		var env envelope
+		if err := c.Decode(&env); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil // coordinator finished and closed the session
 			}
@@ -244,7 +221,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 		}
 		switch {
 		case env.Ping != nil:
-			if err := flush(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
+			if err := c.Encode(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
 				return err
 			}
 			if m != nil {
@@ -264,7 +241,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 					m.JobsRejected.Inc()
 				}
 			}
-			if err := flush(&envelope{JobAck: &jobAckMsg{ID: id, Err: compileErr}}); err != nil {
+			if err := c.Encode(&envelope{JobAck: &jobAckMsg{ID: id, Err: compileErr}}); err != nil {
 				return err
 			}
 			if compileErr == "" {
@@ -285,7 +262,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				// The job never compiled; the coordinator learned that from
 				// the job ack, but ranges pipelined before the ack arrived
 				// still deserve a deterministic answer.
-				if err := flush(&envelope{RangeDone: &rangeDoneMsg{Job: r.Job, First: r.First, Err: wj.compileErr}}); err != nil {
+				if err := c.Encode(&envelope{RangeDone: &rangeDoneMsg{Job: r.Job, First: r.First, Err: wj.compileErr}}); err != nil {
 					return err
 				}
 				continue
@@ -309,7 +286,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				// FrameTimeout is a progress timeout, so every finished run
 				// must reach the wire promptly — a slow chunk buffered until
 				// RangeDone would look like a stalled worker.
-				return flush(&envelope{RunResult: &runResultMsg{Job: r.Job, Run: run, Res: res}})
+				return c.Encode(&envelope{RunResult: &runResultMsg{Job: r.Job, Run: run, Res: res}})
 			})
 			if m != nil {
 				m.RangeLatency.Observe(time.Since(rangeStart).Nanoseconds())
@@ -324,7 +301,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				}
 				done.Err = runErr.Error()
 			}
-			if err := flush(&envelope{RangeDone: &done}); err != nil {
+			if err := c.Encode(&envelope{RangeDone: &done}); err != nil {
 				return err
 			}
 

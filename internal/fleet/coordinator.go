@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -13,12 +12,8 @@ import (
 // controlConn is one synchronous fleet-control session: dial, hello,
 // then strict request/response round trips with per-frame deadlines.
 type controlConn struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	fw      *cluster.FrameWriter
-	fr      *cluster.FrameReader
-	timeout time.Duration
-	peer    PeerInfo
+	conn *cluster.Conn
+	peer PeerInfo
 	// epoch is what the peer's hello advertised — its installed table's
 	// epoch at connect time.
 	epoch uint64
@@ -32,73 +27,46 @@ func dialControl(peer PeerInfo, from string, dialTimeout, frameTimeout time.Dura
 	if err != nil {
 		return nil, fmt.Errorf("fleet: dial control %s: %w", peer.Control, err)
 	}
-	cc := &controlConn{
-		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, 64<<10),
-		fr:      cluster.NewFrameReader(bufio.NewReaderSize(conn, 64<<10)),
-		timeout: frameTimeout,
-		peer:    peer,
-	}
-	cc.fw = cluster.NewFrameWriter(cc.bw)
+	cc := &controlConn{conn: cluster.NewConn(conn, 64<<10, frameTimeout, frameTimeout), peer: peer}
 	if frames != nil && bytes != nil {
-		cc.fr.Instrument(frames, bytes)
-		cc.fw.Instrument(frames, bytes)
+		cc.conn.Instrument(frames, bytes, frames, bytes)
 	}
-	if err := cc.send(&fleetEnvelope{Hello: &fleetHelloMsg{Version: fleetProtocolVersion, From: from}}); err != nil {
-		conn.Close()
+	if err := cc.hello(from); err != nil {
+		cc.close()
 		return nil, err
 	}
-	var env fleetEnvelope
-	if err := cc.recv(&env); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	ack := env.HelloAck
-	switch {
-	case ack == nil:
-		conn.Close()
-		return nil, fmt.Errorf("fleet: %s answered the hello with a non-hello frame", peer.Control)
-	case ack.Err != "":
-		conn.Close()
-		return nil, fmt.Errorf("fleet: %s refused the hello: %s", peer.Control, ack.Err)
-	case peer.ID != "" && ack.ID != peer.ID:
-		conn.Close()
-		return nil, fmt.Errorf("fleet: %s identifies as %q, roster says %q", peer.Control, ack.ID, peer.ID)
-	}
-	if peer.ID == "" {
-		cc.peer.ID = ack.ID
-	}
-	cc.epoch = ack.Epoch
 	return cc, nil
 }
 
-func (cc *controlConn) send(env *fleetEnvelope) error {
-	if cc.timeout > 0 {
-		if err := cc.conn.SetWriteDeadline(time.Now().Add(cc.timeout)); err != nil {
-			return err
-		}
-	}
-	if err := cc.fw.Encode(env); err != nil {
+// hello runs the handshake, adopting the peer's id when the roster left
+// it blank.
+func (cc *controlConn) hello(from string) error {
+	env, err := cc.roundTrip(&fleetEnvelope{Hello: &fleetHelloMsg{Version: fleetProtocolVersion, From: from}})
+	if err != nil {
 		return err
 	}
-	return cc.bw.Flush()
-}
-
-func (cc *controlConn) recv(env *fleetEnvelope) error {
-	if cc.timeout > 0 {
-		if err := cc.conn.SetReadDeadline(time.Now().Add(cc.timeout)); err != nil {
-			return err
-		}
+	ack, addr := env.HelloAck, cc.peer.Control
+	switch {
+	case ack == nil:
+		return fmt.Errorf("fleet: %s answered the hello with a non-hello frame", addr)
+	case ack.Err != "":
+		return fmt.Errorf("fleet: %s refused the hello: %s", addr, ack.Err)
+	case cc.peer.ID != "" && ack.ID != cc.peer.ID:
+		return fmt.Errorf("fleet: %s identifies as %q, roster says %q", addr, ack.ID, cc.peer.ID)
 	}
-	return cc.fr.Decode(env)
+	if cc.peer.ID == "" {
+		cc.peer.ID = ack.ID
+	}
+	cc.epoch = ack.Epoch
+	return nil
 }
 
 func (cc *controlConn) roundTrip(req *fleetEnvelope) (*fleetEnvelope, error) {
-	if err := cc.send(req); err != nil {
+	if err := cc.conn.Encode(req); err != nil {
 		return nil, err
 	}
 	var env fleetEnvelope
-	if err := cc.recv(&env); err != nil {
+	if err := cc.conn.Decode(&env); err != nil {
 		return nil, err
 	}
 	return &env, nil

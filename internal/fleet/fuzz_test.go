@@ -89,26 +89,25 @@ func fuzzFleetSeeds(tb testing.TB) [][]byte {
 		encodeFleetFrames(tb, hello),
 		encodeFleetFrames(tb, hello, &fleetEnvelope{TableGet: &tableGetMsg{}}),
 		// The full migration session: cut an owned stripe, stage a
-		// stripe, commit the bumped table, checkpoint, ping.
+		// stripe, commit the bumped table, checkpoint.
 		encodeFleetFrames(tb, hello,
 			cut,
 			&fleetEnvelope{Offer: &offerMsg{Stripe: 0, Lo: 0, Hi: ^uint64(0) >> 2, NewEpoch: 2, Snap: snap}},
 			&fleetEnvelope{Commit: &commitMsg{Table: tab2}},
-			&fleetEnvelope{Checkpoint: &checkpointMsg{}},
-			&fleetEnvelope{Ping: &fleetPingMsg{Seq: 9}}),
+			&fleetEnvelope{Checkpoint: &checkpointMsg{}}),
 		// Cut then abort: the drain must lift.
 		encodeFleetFrames(tb, hello, cut, &fleetEnvelope{Abort: &abortMsg{}}),
 		// Refusals a conforming codec can still deliver.
 		encodeFleetFrames(tb, &fleetEnvelope{Hello: &fleetHelloMsg{Version: 99}}),
-		encodeFleetFrames(tb, &fleetEnvelope{Ping: &fleetPingMsg{Seq: 1}}), // ping before hello
-		encodeFleetFrames(tb, hello, &fleetEnvelope{}),                     // empty union
+		encodeFleetFrames(tb, &fleetEnvelope{TableGet: &tableGetMsg{}}), // table get before hello
+		encodeFleetFrames(tb, hello, &fleetEnvelope{}),                  // empty union
 		encodeFleetFrames(tb, hello, &fleetEnvelope{Cut: &cutMsg{Stripe: 999, NewEpoch: 2}}),
 		encodeFleetFrames(tb, hello, &fleetEnvelope{Cut: &cutMsg{Stripe: ownStripe, Lo: lo + 1, Hi: hi, NewEpoch: 2}}),
 		encodeFleetFrames(tb, hello, &fleetEnvelope{Offer: &offerMsg{Stripe: 0, Snap: &serve.Snapshot{Version: 99}}}),
 		encodeFleetFrames(tb, hello, &fleetEnvelope{Offer: &offerMsg{Stripe: 0}}), // no snapshot
 		encodeFleetFrames(tb, hello, &fleetEnvelope{Commit: &commitMsg{}}),        // no table
 		encodeFleetFrames(tb, hello, &fleetEnvelope{Commit: &commitMsg{Table: &Table{Epoch: 0}}}),
-		encodeFleetFrames(tb, hello, &fleetEnvelope{Pong: &fleetPongMsg{Seq: 1}}),
+		encodeFleetFrames(tb, hello, &fleetEnvelope{Done: &doneMsg{}}), // a reply sent as a request
 		// Framing corruptions.
 		{0, 0, 0, 0},
 		{0xff, 0xff, 0xff, 0xff, 0},

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -36,17 +35,6 @@ type PeerOptions struct {
 	Metrics *Metrics
 }
 
-func (o PeerOptions) frameTimeout() time.Duration {
-	switch {
-	case o.FrameTimeout < 0:
-		return 0
-	case o.FrameTimeout == 0:
-		return 2 * time.Minute
-	default:
-		return o.FrameTimeout
-	}
-}
-
 func (o PeerOptions) resolveAttempts() int {
 	if o.ResolveAttempts <= 0 {
 		return 3
@@ -79,8 +67,7 @@ type Peer struct {
 	table  *Table
 	drains map[int]*drain
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns cluster.Acceptor
 }
 
 // NewPeer wires a fleet view onto store: from here on the store answers
@@ -97,7 +84,6 @@ func NewPeer(store *serve.Store, opts PeerOptions) (*Peer, error) {
 		opts:   opts,
 		m:      opts.Metrics,
 		drains: make(map[int]*drain),
-		conns:  make(map[net.Conn]struct{}),
 	}
 	if p.m == nil {
 		p.m = newMetrics()
@@ -166,44 +152,11 @@ func (p *Peer) installLocked(tab *Table) {
 
 // ServeControl accepts control connections until the listener closes,
 // then drains the connection goroutines, mirroring serve.Server.Serve.
-func (p *Peer) ServeControl(ln net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.track(conn, true)
-			defer p.track(conn, false)
-			defer conn.Close()
-			_ = p.serveControl(conn)
-		}()
-	}
-}
+func (p *Peer) ServeControl(ln net.Listener) error { return p.conns.Serve(ln, p.serveControl) }
 
 // Close tears down every live control connection; pair with closing the
 // listener.
-func (p *Peer) Close() {
-	p.connMu.Lock()
-	defer p.connMu.Unlock()
-	for conn := range p.conns {
-		conn.Close()
-	}
-}
-
-func (p *Peer) track(conn net.Conn, add bool) {
-	p.connMu.Lock()
-	defer p.connMu.Unlock()
-	if add {
-		p.conns[conn] = struct{}{}
-	} else {
-		delete(p.conns, conn)
-	}
-}
+func (p *Peer) Close() { p.conns.Close() }
 
 // connState is what one control connection has in flight: stripes staged
 // onto this peer and stripes drained off it. Both die with the
@@ -217,45 +170,23 @@ type connState struct {
 
 // serveControl runs one control connection's request loop.
 func (p *Peer) serveControl(conn net.Conn) error {
-	wt := p.opts.frameTimeout()
-	fr := cluster.NewFrameReader(bufio.NewReaderSize(conn, 64<<10))
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	fw := cluster.NewFrameWriter(bw)
-	send := func(env *fleetEnvelope) error {
-		if wt > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
-		if err := fw.Encode(env); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	recv := func(env *fleetEnvelope) error {
-		if wt > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
-		return fr.Decode(env)
-	}
-
+	timeout := cluster.FrameTimeout(p.opts.FrameTimeout)
+	c := cluster.NewConn(conn, 64<<10, timeout, timeout)
 	var env fleetEnvelope
-	if err := recv(&env); err != nil {
+	if err := c.Decode(&env); err != nil {
 		return err
 	}
 	if env.Hello == nil {
 		return fmt.Errorf("fleet: first control frame is not a hello")
 	}
 	if env.Hello.Version != fleetProtocolVersion {
-		_ = send(&fleetEnvelope{HelloAck: &fleetHelloAckMsg{
+		_ = c.Encode(&fleetEnvelope{HelloAck: &fleetHelloAckMsg{
 			Version: fleetProtocolVersion, ID: p.opts.ID,
 			Err: fmt.Sprintf("fleet protocol version %d, want %d", env.Hello.Version, fleetProtocolVersion),
 		}})
 		return fmt.Errorf("fleet: control peer speaks protocol %d, want %d", env.Hello.Version, fleetProtocolVersion)
 	}
-	if err := send(&fleetEnvelope{HelloAck: &fleetHelloAckMsg{
+	if err := c.Encode(&fleetEnvelope{HelloAck: &fleetHelloAckMsg{
 		Version: fleetProtocolVersion, ID: p.opts.ID, Epoch: p.Epoch(),
 	}}); err != nil {
 		return err
@@ -265,7 +196,7 @@ func (p *Peer) serveControl(conn net.Conn) error {
 	defer p.connClosed(st)
 	for {
 		env = fleetEnvelope{}
-		if err := recv(&env); err != nil {
+		if err := c.Decode(&env); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
@@ -273,32 +204,28 @@ func (p *Peer) serveControl(conn net.Conn) error {
 		}
 		switch {
 		case env.TableGet != nil:
-			if err := send(&fleetEnvelope{TableRes: &tableResMsg{Table: p.Table()}}); err != nil {
+			if err := c.Encode(&fleetEnvelope{TableRes: &tableResMsg{Table: p.Table()}}); err != nil {
 				return err
 			}
 		case env.Cut != nil:
-			if err := send(&fleetEnvelope{State: p.handleCut(st, env.Cut)}); err != nil {
+			if err := c.Encode(&fleetEnvelope{State: p.handleCut(st, env.Cut)}); err != nil {
 				return err
 			}
 		case env.Offer != nil:
-			if err := send(&fleetEnvelope{OfferAck: p.handleOffer(st, env.Offer)}); err != nil {
+			if err := c.Encode(&fleetEnvelope{OfferAck: p.handleOffer(st, env.Offer)}); err != nil {
 				return err
 			}
 		case env.Commit != nil:
-			if err := send(&fleetEnvelope{Done: p.handleCommit(st, env.Commit.Table)}); err != nil {
+			if err := c.Encode(&fleetEnvelope{Done: p.handleCommit(st, env.Commit.Table)}); err != nil {
 				return err
 			}
 		case env.Abort != nil:
 			p.handleAbort(st)
-			if err := send(&fleetEnvelope{Done: &doneMsg{}}); err != nil {
+			if err := c.Encode(&fleetEnvelope{Done: &doneMsg{}}); err != nil {
 				return err
 			}
 		case env.Checkpoint != nil:
-			if err := send(&fleetEnvelope{Done: p.handleCheckpoint()}); err != nil {
-				return err
-			}
-		case env.Ping != nil:
-			if err := send(&fleetEnvelope{Pong: &fleetPongMsg{Seq: env.Ping.Seq}}); err != nil {
+			if err := c.Encode(&fleetEnvelope{Done: p.handleCheckpoint()}); err != nil {
 				return err
 			}
 		default:
@@ -456,7 +383,7 @@ func (p *Peer) connClosed(st *connState) {
 // still processing its own commit is covered by the retry spacing.
 func (p *Peer) resolveDrain(d *drain) {
 	attempts, delay := p.opts.resolveAttempts(), p.opts.resolveDelay()
-	timeout := p.opts.frameTimeout()
+	timeout := cluster.FrameTimeout(p.opts.FrameTimeout)
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}

@@ -28,8 +28,6 @@ type fleetEnvelope struct {
 	Abort      *abortMsg
 	Checkpoint *checkpointMsg
 	Done       *doneMsg
-	Ping       *fleetPingMsg
-	Pong       *fleetPongMsg
 }
 
 // fleetHelloMsg opens a control session. From is informational (log
@@ -120,15 +118,4 @@ type checkpointMsg struct{}
 // failure without closing the session.
 type doneMsg struct {
 	Err string
-}
-
-// fleetPingMsg keeps an idle control connection alive under the frame
-// timeout.
-type fleetPingMsg struct {
-	Seq uint64
-}
-
-// fleetPongMsg answers a ping.
-type fleetPongMsg struct {
-	Seq uint64
 }

@@ -220,103 +220,3 @@ func TestClientWithoutRedialerFailsFastAndCloseIsIdempotent(t *testing.T) {
 		t.Fatalf("repeated Close must be nil, got %v", err)
 	}
 }
-
-// TestClientDegradesToFallbackAndRecovers pins the availability escape
-// hatch: with the daemon gone past MaxAttempts a client with a Fallback
-// store serves selections locally (a deliberate fork of that device's
-// learning), keeps doing so between probes, and rejoins the daemon when a
-// probe finds it listening again.
-func TestClientDegradesToFallbackAndRecovers(t *testing.T) {
-	store, err := NewStore(Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	srv := NewServer(store, ServerOptions{FrameTimeout: 30 * time.Second})
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(ln) }()
-
-	fb := newTestStore(t, Config{})
-	opts := chaosClientOptions()
-	opts.MaxAttempts = 2
-	opts.Fallback = fb
-	opts.FallbackProbe = 50 * time.Millisecond
-	opts.FrameTimeout = time.Second
-	c, err := Dial(addr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	arms := []int{1, 2, 3}
-	if _, err := c.Select(1, arms); err != nil {
-		t.Fatal(err)
-	}
-
-	// Take the daemon down hard: listener and server both gone.
-	ln.Close()
-	srv.Close()
-	<-done
-
-	arm, err := c.Select(1, arms)
-	if err != nil {
-		t.Fatalf("Select with a fallback store configured: %v", err)
-	}
-	if !c.Degraded() {
-		t.Fatal("client not degraded after the daemon vanished")
-	}
-	if arm != 1 && arm != 2 && arm != 3 {
-		t.Fatalf("fallback selected arm %d outside the arm set", arm)
-	}
-	// Feedback for a locally-served selection must land on the fallback
-	// store, observable through its snapshot changing.
-	before := encodeSnapshot(t, fb)
-	if err := c.Feedback(1, arm, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(before, encodeSnapshot(t, fb)) {
-		t.Fatal("feedback while degraded did not reach the fallback store")
-	}
-
-	// Resurrect the daemon on the same address; the next probe after the
-	// probe interval should rejoin it.
-	var ln2 net.Listener
-	for i := 0; i < 100; i++ {
-		if ln2, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("could not rebind %s: %v", addr, err)
-	}
-	store2, err := NewStore(Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := NewServer(store2, ServerOptions{FrameTimeout: 30 * time.Second})
-	done2 := make(chan struct{})
-	go func() { defer close(done2); _ = srv2.Serve(ln2) }()
-	defer func() {
-		ln2.Close()
-		srv2.Close()
-		<-done2
-	}()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Degraded() {
-		if time.Now().After(deadline) {
-			t.Fatal("client never rejoined the resurrected daemon")
-		}
-		time.Sleep(opts.FallbackProbe)
-		if _, err := c.Select(1, arms); err != nil {
-			t.Fatalf("Select during recovery: %v", err)
-		}
-	}
-	if _, err := c.Select(2, arms); err != nil {
-		t.Fatalf("live Select after recovery: %v", err)
-	}
-}

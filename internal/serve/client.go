@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net"
 	"time"
+
+	"smartexp3/internal/cluster"
 )
 
 // ClientOptions tunes a client connection and its recovery behavior.
@@ -42,18 +44,6 @@ type ClientOptions struct {
 	// and counted in DroppedFeedback. Zero means 4096.
 	MaxBufferedFeedback int
 
-	// Fallback, when set, is a local Store the client degrades to when
-	// the daemon stays unreachable past MaxAttempts: Select answers from
-	// in-process policy state instead of erroring. While degraded, the
-	// daemon is re-probed at most once per FallbackProbe; decisions made
-	// locally stay local (their feedback applies to the Fallback store,
-	// not the daemon), so a degraded episode is a deliberate fork of that
-	// device's learning, traded for availability.
-	Fallback *Store
-	// FallbackProbe is how long a degraded client waits between probes of
-	// the daemon; zero means 1 second.
-	FallbackProbe time.Duration
-
 	// OnRejected, when set, receives feedback items the daemon bounced in
 	// a Rejected frame because it no longer owns their devices (a fleet
 	// migration moved them), along with the table epoch the rejection
@@ -75,17 +65,6 @@ func (o ClientOptions) dialTimeout() time.Duration {
 		return 5 * time.Second
 	}
 	return o.DialTimeout
-}
-
-func (o ClientOptions) frameTimeout() time.Duration {
-	switch {
-	case o.FrameTimeout < 0:
-		return 0
-	case o.FrameTimeout == 0:
-		return 2 * time.Minute
-	default:
-		return o.FrameTimeout
-	}
 }
 
 func (o ClientOptions) feedbackBatch() int {
@@ -123,27 +102,12 @@ func (o ClientOptions) maxBufferedFeedback() int {
 	return o.MaxBufferedFeedback
 }
 
-func (o ClientOptions) fallbackProbe() time.Duration {
-	if o.FallbackProbe <= 0 {
-		return time.Second
-	}
-	return o.FallbackProbe
-}
-
 // RequestError is a request-level rejection (a malformed arm set, say):
 // the daemon answered, the session remains usable, and nothing is retried.
 // Every other error a client method returns is transport trouble.
 type RequestError struct{ Msg string }
 
 func (e *RequestError) Error() string { return e.Msg }
-
-// selection is the client's record of a device's outstanding Select: the
-// slot the store named for it (quoted back in feedback so resends cannot
-// double-count) and whether it was answered by the local Fallback store.
-type selection struct {
-	slot  uint64
-	local bool
-}
 
 // Client is one synchronous session against a serve daemon. It buffers
 // feedback and sends it as one frame ahead of anything that must observe
@@ -171,9 +135,9 @@ type Client struct {
 	w         *wireConn // nil before the first dial
 	algorithm string
 
-	batch []FeedbackItem // buffered reports not yet written
-	sent  []FeedbackItem // written but unconfirmed by a response barrier
-	slots map[uint64]selection
+	batch []FeedbackItem    // buffered reports not yet written
+	sent  []FeedbackItem    // written but unconfirmed by a response barrier
+	slots map[uint64]uint64 // each device's outstanding selection slot, quoted back in its feedback
 
 	seq     uint64
 	pingSeq uint64
@@ -181,9 +145,6 @@ type Client struct {
 	connected bool
 	closed    bool
 	permErr   error // handshake-level failure; the client is dead after one
-
-	degraded      bool      // serving from opts.Fallback
-	degradedUntil time.Time // next daemon probe not before this instant
 
 	rng *rand.Rand     // backoff jitter
 	m   *ClientMetrics // never nil; from opts.Metrics or a private set
@@ -218,7 +179,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 // end of a pipe). The client owns conn afterwards. Without opts.Redial the
 // client cannot recover from transport failures and fails fast instead.
 func NewClient(conn net.Conn, opts ClientOptions) (*Client, error) {
-	c := &Client{opts: opts, slots: make(map[uint64]selection), m: opts.Metrics}
+	c := &Client{opts: opts, slots: make(map[uint64]uint64), m: opts.Metrics}
 	if c.m == nil {
 		c.m = newClientMetrics()
 	}
@@ -240,15 +201,11 @@ func (c *Client) Reconnects() uint64 { return c.m.Reconnects.Value() }
 // discarded because the daemon stayed unreachable past the buffer bound.
 func (c *Client) DroppedFeedback() uint64 { return c.m.DroppedFeedback.Value() }
 
-// Degraded reports whether the client is currently serving selections from
-// its local Fallback store instead of the daemon.
-func (c *Client) Degraded() bool { return c.degraded }
-
 // handshake installs conn as the client's transport and runs the hello
 // exchange over it. Rejections are permanent: a daemon from the wrong
 // protocol era will reject every future attempt too.
 func (c *Client) handshake(conn net.Conn) error {
-	c.w = newWireConn(conn, c.opts.frameTimeout(), 0)
+	c.w = newWireConn(conn, cluster.FrameTimeout(c.opts.FrameTimeout), 0)
 	if err := c.w.send(&wireMsg{tag: tagHello, version: serveProtocolVersion}); err != nil {
 		return err
 	}
@@ -290,7 +247,7 @@ func (c *Client) usable() error {
 // failure is terminal, matching the historical fail-fast client.
 func (c *Client) dropConn(cause error) {
 	if c.w != nil {
-		c.w.conn.Close()
+		c.w.Close()
 	}
 	c.connected = false
 	if len(c.sent) > 0 {
@@ -322,7 +279,7 @@ func (c *Client) ensureConn() error {
 		return err
 	}
 	if err := c.handshake(conn); err != nil {
-		conn.Close()
+		c.w.Close()
 		return err
 	}
 	c.m.Reconnects.Inc()
@@ -404,7 +361,7 @@ func (c *Client) flushFeedback() error {
 	if err := c.queueFeedback(); err != nil {
 		return err
 	}
-	return c.w.flush()
+	return c.w.Flush()
 }
 
 // trimFeedback enforces the overload guard: when the queued reports exceed
@@ -427,28 +384,10 @@ func (c *Client) trimFeedback() {
 // arm set) returns a *RequestError and leaves the session usable;
 // transport failures reconnect and retry transparently — the store's
 // slot-idempotent Select makes the retry return the same arm — and only
-// after MaxAttempts does the client give up (or degrade to the Fallback
-// store when one is configured).
+// after MaxAttempts does the client give up.
 func (c *Client) Select(device uint64, arms []int) (int, error) {
-	if err := c.usable(); err != nil {
-		return -1, err
-	}
-	if c.degraded {
-		if arm, served, err := c.fallbackSelect(device, arms); served {
-			return arm, err
-		}
-	}
-	arm, slot, err := c.doSelect(device, arms)
-	if err == nil {
-		c.slots[device] = selection{slot: slot}
-		return arm, nil
-	}
-	var req *RequestError
-	var no *NotOwnerError
-	if errors.As(err, &req) || errors.As(err, &no) || c.permErr != nil {
-		return -1, err
-	}
-	return c.enterFallback(device, arms, err)
+	arm, _, err := c.SelectSlot(device, arms)
+	return arm, err
 }
 
 // SelectSlot is Select for callers that route feedback themselves (the
@@ -457,24 +396,11 @@ func (c *Client) Select(device uint64, arms []int) (int, error) {
 // possibly through a different peer's connection after a migration — via
 // FeedbackSlot or EnqueueFeedback. A daemon that no longer owns the
 // device answers with *NotOwnerError, returned without burning transport
-// retries; Fallback degradation does not apply (the fleet routes around
-// a dead peer instead).
+// retries.
 func (c *Client) SelectSlot(device uint64, arms []int) (int, uint64, error) {
 	if err := c.usable(); err != nil {
 		return -1, 0, err
 	}
-	arm, slot, err := c.doSelect(device, arms)
-	if err != nil {
-		return -1, 0, err
-	}
-	c.slots[device] = selection{slot: slot}
-	return arm, slot, nil
-}
-
-// doSelect runs one Select round trip (flush, request, response) under
-// the retry loop, returning the chosen arm and its slot. Shared by
-// Select and SelectSlot.
-func (c *Client) doSelect(device uint64, arms []int) (int, uint64, error) {
 	var arm int
 	var slot uint64
 	err := c.attempt(func() error {
@@ -485,7 +411,7 @@ func (c *Client) doSelect(device uint64, arms []int) (int, uint64, error) {
 		if err := c.w.queue(&wireMsg{tag: tagSelect, seq: c.seq, device: device, arms: arms}); err != nil {
 			return err
 		}
-		if err := c.w.flush(); err != nil {
+		if err := c.w.Flush(); err != nil {
 			return err
 		}
 		for {
@@ -518,7 +444,11 @@ func (c *Client) doSelect(device uint64, arms []int) (int, uint64, error) {
 			}
 		}
 	})
-	return arm, slot, err
+	if err != nil {
+		return -1, 0, err
+	}
+	c.slots[device] = slot
+	return arm, slot, nil
 }
 
 // handleRejected forwards a bounced-feedback frame to the OnRejected
@@ -531,56 +461,16 @@ func (c *Client) handleRejected(msg *wireMsg) {
 	}
 }
 
-// enterFallback switches to degraded local serving after the transport is
-// exhausted, when a Fallback store is configured.
-func (c *Client) enterFallback(device uint64, arms []int, cause error) (int, error) {
-	if c.opts.Fallback == nil {
-		return -1, cause
-	}
-	c.degraded = true
-	c.m.FallbackActivations.Inc()
-	c.degradedUntil = time.Now().Add(c.opts.fallbackProbe())
-	arm, _, err := c.fallbackSelect(device, arms)
-	return arm, err
-}
-
-// fallbackSelect serves one selection from the local Fallback store while
-// degraded, probing the daemon at most once per FallbackProbe interval.
-// served=false means a probe just revived the connection and the caller
-// should use the live path instead.
-func (c *Client) fallbackSelect(device uint64, arms []int) (arm int, served bool, err error) {
-	if time.Now().After(c.degradedUntil) {
-		if c.ensureConn() == nil {
-			c.degraded = false
-			return 0, false, nil
-		}
-		c.degradedUntil = time.Now().Add(c.opts.fallbackProbe())
-	}
-	a, slot, err := c.opts.Fallback.Select(device, arms)
-	if err != nil {
-		return -1, true, &RequestError{Msg: err.Error()}
-	}
-	c.slots[device] = selection{slot: slot, local: true}
-	return a, true, nil
-}
-
 // Feedback buffers one reward report; the wire sees it at the next flush
 // (at latest, before the next Select on this connection, which is what
 // makes select-after-feedback ordering hold without a round trip per
 // report). Feedback never blocks on a broken transport: reports queue
-// (bounded by MaxBufferedFeedback) and resend after the reconnect. A
-// report for a selection the Fallback store answered applies there
-// directly.
+// (bounded by MaxBufferedFeedback) and resend after the reconnect.
 func (c *Client) Feedback(device uint64, arm int, reward float64) error {
 	if err := c.usable(); err != nil {
 		return err
 	}
-	sel := c.slots[device]
-	if sel.local {
-		c.opts.Fallback.Feedback(device, arm, sel.slot, reward)
-		return nil
-	}
-	return c.enqueue(FeedbackItem{Device: device, Arm: arm, Slot: sel.slot, Reward: reward})
+	return c.enqueue(FeedbackItem{Device: device, Arm: arm, Slot: c.slots[device], Reward: reward})
 }
 
 // FeedbackSlot buffers one reward report quoting an explicit slot,
@@ -620,7 +510,7 @@ func (c *Client) enqueue(items ...FeedbackItem) error {
 	}
 	c.batch = append(c.batch, items...)
 	c.trimFeedback()
-	if len(c.batch)+len(c.sent) >= c.opts.feedbackBatch() && c.connected && !c.degraded {
+	if len(c.batch)+len(c.sent) >= c.opts.feedbackBatch() && c.connected {
 		if err := c.flushFeedback(); err != nil {
 			c.dropConn(err)
 			if c.permErr != nil {
@@ -633,32 +523,24 @@ func (c *Client) enqueue(items ...FeedbackItem) error {
 
 // Flush writes buffered feedback to the daemon, reconnecting as needed.
 // Delivery is confirmed only by the next response barrier (Select or
-// Ping); a degraded client keeps the reports queued for the next probe.
+// Ping).
 func (c *Client) Flush() error {
 	if err := c.usable(); err != nil {
 		return err
 	}
-	if len(c.batch) == 0 || c.degraded {
+	if len(c.batch) == 0 {
 		return nil
 	}
 	return c.attempt(c.flushFeedback)
 }
 
-// Release flushes feedback, then retires the given device sessions (on the
-// Fallback store too, when one is configured). A degraded client releases
-// only locally: the daemon-side sessions age out through idle eviction.
+// Release flushes feedback, then retires the given device sessions.
 func (c *Client) Release(devices ...uint64) error {
 	if err := c.usable(); err != nil {
 		return err
 	}
 	for _, id := range devices {
 		delete(c.slots, id)
-		if c.opts.Fallback != nil {
-			c.opts.Fallback.Release(id)
-		}
-	}
-	if c.degraded {
-		return nil
 	}
 	return c.attempt(func() error {
 		if err := c.queueFeedback(); err != nil {
@@ -667,18 +549,17 @@ func (c *Client) Release(devices ...uint64) error {
 		if err := c.w.queue(&wireMsg{tag: tagRelease, devices: devices}); err != nil {
 			return err
 		}
-		return c.w.flush()
+		return c.w.Flush()
 	})
 }
 
 // Ping flushes feedback and round-trips a keepalive, proving the daemon is
-// alive and resetting its idle timer. A successful ping also ends a
-// degraded episode.
+// alive and resetting its idle timer.
 func (c *Client) Ping() error {
 	if err := c.usable(); err != nil {
 		return err
 	}
-	err := c.attempt(func() error {
+	return c.attempt(func() error {
 		if err := c.queueFeedback(); err != nil {
 			return err
 		}
@@ -686,7 +567,7 @@ func (c *Client) Ping() error {
 		if err := c.w.queue(&wireMsg{tag: tagPing, seq: c.pingSeq}); err != nil {
 			return err
 		}
-		if err := c.w.flush(); err != nil {
+		if err := c.w.Flush(); err != nil {
 			return err
 		}
 		for {
@@ -705,27 +586,23 @@ func (c *Client) Ping() error {
 			return nil
 		}
 	})
-	if err == nil {
-		c.degraded = false
-	}
-	return err
 }
 
 // Close makes a best-effort final feedback flush and closes the
-// connection. Close is idempotent, including after a permanent failure:
-// repeated calls return nil.
+// connection. Close is idempotent, including after a permanent failure or
+// a dropped connection: repeated calls return nil.
 func (c *Client) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
 	var flushErr error
-	if c.permErr == nil && c.connected && !c.degraded {
+	if c.permErr == nil && c.connected {
 		flushErr = c.flushFeedback()
 	}
 	var closeErr error
 	if c.w != nil {
-		closeErr = c.w.conn.Close()
+		closeErr = c.w.Close()
 	}
 	if flushErr != nil {
 		return flushErr

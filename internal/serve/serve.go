@@ -41,9 +41,7 @@
 // re-issues the in-flight Select (answered idempotently). Only handshake
 // rejections are permanent. A session run through an adversarial network
 // is therefore decision-identical to a clean one — the property
-// chaos_test.go drives with internal/chaos. Clients that must answer even
-// with the daemon gone can set ClientOptions.Fallback to degrade to a
-// local in-process store between probes.
+// chaos_test.go drives with internal/chaos.
 //
 // Eviction: with Config.EvictAfter set, EvictIdle retires device sessions
 // whose last Select or applied Feedback is older than the TTL — the

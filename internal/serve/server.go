@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
+
+	"smartexp3/internal/cluster"
 )
 
 // ServerOptions tunes the transport, not the decisions.
@@ -23,17 +24,6 @@ type ServerOptions struct {
 	Metrics *ServerMetrics
 }
 
-func (o ServerOptions) frameTimeout() time.Duration {
-	switch {
-	case o.FrameTimeout < 0:
-		return 0
-	case o.FrameTimeout == 0:
-		return 2 * time.Minute
-	default:
-		return o.FrameTimeout
-	}
-}
-
 // Server answers the serve wire protocol against one Store. One goroutine
 // serves each connection; all decision state lives in the Store, so
 // connections share devices safely (though one device should normally stay
@@ -41,69 +31,33 @@ func (o ServerOptions) frameTimeout() time.Duration {
 type Server struct {
 	store *Store
 	opts  ServerOptions
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	conns cluster.Acceptor
 }
 
 // NewServer wraps store in a wire front end.
 func NewServer(store *Store, opts ServerOptions) *Server {
-	return &Server{store: store, opts: opts, conns: make(map[net.Conn]struct{})}
+	return &Server{store: store, opts: opts}
 }
 
 // Serve accepts connections until the listener closes, then waits for the
 // in-flight connection goroutines it spawned to drain. It always returns a
 // non-nil error; after Close/listener close that error is net.ErrClosed.
-func (s *Server) Serve(ln net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.track(conn, true)
-			defer s.track(conn, false)
-			defer conn.Close()
-			_ = s.serveConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.conns.Serve(ln, s.serveConn) }
 
 // Close tears down every live connection. Pair it with closing the
 // listener; Serve's drain then returns promptly instead of waiting out
 // frame timeouts.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-}
-
-func (s *Server) track(conn net.Conn, add bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
-	}
-}
+func (s *Server) Close() { s.conns.Close() }
 
 // serveConn runs one connection's request loop: handshake, then frames
 // until the peer closes, errors, or goes silent past the frame timeout.
 func (s *Server) serveConn(conn net.Conn) error {
-	w := newWireConn(conn, s.opts.frameTimeout(), s.store.cfg.MaxArms)
+	w := newWireConn(conn, cluster.FrameTimeout(s.opts.FrameTimeout), s.store.cfg.MaxArms)
 	if m := s.opts.Metrics; m != nil {
 		m.Connections.Inc()
 		m.Active.Add(1)
 		defer m.Active.Add(-1)
-		w.fr.Instrument(m.FramesRead, m.BytesRead)
-		w.fw.Instrument(m.FramesWritten, m.BytesWritten)
+		w.Instrument(m.FramesRead, m.BytesRead, m.FramesWritten, m.BytesWritten)
 	}
 
 	hello, err := w.recv()

@@ -152,3 +152,49 @@ func TestServerSurvivesMalformedClient(t *testing.T) {
 		t.Fatalf("server unusable after a malformed client: %v", err)
 	}
 }
+
+// TestClientCloseAfterTransportDeathOverTCP pins Close after a dropped
+// connection over a real socket: closing a TCP socket twice is an error
+// (a net.Pipe's second close is not), so a client whose daemon vanished
+// must still close cleanly, once and again.
+func TestClientCloseAfterTransportDeathOverTCP(t *testing.T) {
+	store, err := NewStore(Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store, ServerOptions{FrameTimeout: 30 * time.Second})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	c, err := Dial(ln.Addr().String(), ClientOptions{
+		FrameTimeout: 30 * time.Second,
+		MaxAttempts:  2,
+		BackoffBase:  time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Select(1, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The daemon vanishes: listener and connections both gone.
+	ln.Close()
+	srv.Close()
+	<-done
+	if _, err := c.Select(1, []int{1, 2}); err == nil {
+		t.Fatal("Select succeeded with the daemon gone")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("first Close after the transport died: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("repeated Close must be nil, got %v", err)
+	}
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -444,61 +443,40 @@ func (e *armLimitError) Error() string {
 
 func tooManyArms(device uint64, n, max int) error { return &armLimitError{device, n, max} }
 
-// wireConn is one end of a serve connection: the frame layer over a
-// buffered socket, per-frame deadlines, and the reused encode buffer and
-// decoded message that keep a warm exchange allocation-free. queue
-// buffers frames and flush sends them, so a client's feedback frame and
-// the select behind it leave in one write.
+// wireConn is one end of a serve connection: the shared framed
+// connection plus the reused encode buffer and decoded message that keep
+// a warm exchange allocation-free. queue buffers frames and Flush sends
+// them, so a client's feedback frame and the select behind it leave in
+// one write.
 type wireConn struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	fw      *cluster.FrameWriter
-	fr      *cluster.FrameReader
-	timeout time.Duration // per-frame read and write deadline; 0 disables
-	maxArms int           // select arm-count bound on decode
-	out     []byte        // encode buffer
-	in      wireMsg       // the last decoded message
+	*cluster.Conn
+	maxArms int     // select arm-count bound on decode
+	out     []byte  // encode buffer
+	in      wireMsg // the last decoded message
 }
 
+// newWireConn frames conn with a per-frame read and write deadline of
+// timeout (0 arms none).
 func newWireConn(conn net.Conn, timeout time.Duration, maxArms int) *wireConn {
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	return &wireConn{
-		conn:    conn,
-		bw:      bw,
-		fw:      cluster.NewFrameWriter(bw),
-		fr:      cluster.NewFrameReader(bufio.NewReaderSize(conn, 32<<10)),
-		timeout: timeout,
-		maxArms: maxArms,
-	}
+	return &wireConn{Conn: cluster.NewConn(conn, 32<<10, timeout, timeout), maxArms: maxArms}
 }
 
-// queue encodes m as one frame into the write buffer. The deadline is
-// armed per frame, not per flush, because a frame larger than the
-// buffer's free space writes through to the socket immediately.
+// queue encodes m as one frame into the write buffer.
 func (w *wireConn) queue(m *wireMsg) error {
-	if w.timeout > 0 {
-		if err := w.conn.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
-			return err
-		}
-	}
 	b, err := encodeMsg(w.out, m)
 	w.out = b
 	if err != nil {
 		return err
 	}
-	return w.fw.WriteFrame(b)
+	return w.WriteFrame(b)
 }
-
-// flush writes every queued frame to the socket, under the deadline the
-// last queue armed.
-func (w *wireConn) flush() error { return w.bw.Flush() }
 
 // send queues m and flushes.
 func (w *wireConn) send(m *wireMsg) error {
 	if err := w.queue(m); err != nil {
 		return err
 	}
-	return w.flush()
+	return w.Flush()
 }
 
 // recv reads and decodes one frame into the connection's reused message.
@@ -506,12 +484,7 @@ func (w *wireConn) send(m *wireMsg) error {
 // error holding the fields read so far: the server answers an over-limit
 // select from its seq.
 func (w *wireConn) recv() (*wireMsg, error) {
-	if w.timeout > 0 {
-		if err := w.conn.SetReadDeadline(time.Now().Add(w.timeout)); err != nil {
-			return nil, err
-		}
-	}
-	body, err := w.fr.ReadFrame()
+	body, err := w.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
