@@ -273,26 +273,33 @@ func BenchmarkClusterSession(b *testing.B) {
 // BenchmarkSimReplication measures one warm replication through a pooled
 // workspace across population scales: 10 devices on Setting 1, and 100/500
 // devices spread over generated multi-area metropolitan topologies (the
-// 500-device case runs on the 204-network `large` preset). Steady-state
-// allocs/op must stay flat — a handful of objects for the returned Result
-// plus epoch bookkeeping, regardless of scale or replication count.
+// 500-device case runs on the 204-network `large` preset). The
+// setting1-distance row adds the per-slot Definition 3 metric
+// (Collect.Distance) for 20 devices on Setting 1, the researcher's shape
+// the figures plot. Steady-state allocs/op must stay flat — a handful of
+// objects for the returned Result plus epoch bookkeeping, regardless of
+// scale, metric collection or replication count.
 func BenchmarkSimReplication(b *testing.B) {
+	metro := netmodel.Generate(netmodel.GenSpec{Areas: 10, APsPerArea: 3, Cells: 2, Overlap: 1})
 	cases := []struct {
-		devices int
-		topo    netmodel.Topology
+		name string
+		cfg  sim.Config
 	}{
-		{10, netmodel.Setting1()},
-		{100, netmodel.Generate(netmodel.GenSpec{Areas: 10, APsPerArea: 3, Cells: 2, Overlap: 1})},
-		{500, netmodel.Large()},
+		{"devices=10", sim.Config{Topology: netmodel.Setting1(),
+			Devices: sim.SpreadDevices(10, core.AlgSmartEXP3, len(netmodel.Setting1().Areas))}},
+		{"devices=100", sim.Config{Topology: metro,
+			Devices: sim.SpreadDevices(100, core.AlgSmartEXP3, len(metro.Areas))}},
+		{"devices=500", sim.Config{Topology: netmodel.Large(),
+			Devices: sim.SpreadDevices(500, core.AlgSmartEXP3, len(netmodel.Large().Areas))}},
+		{"setting1-distance", sim.Config{Topology: netmodel.Setting1(),
+			Devices: sim.UniformDevices(20, core.AlgSmartEXP3),
+			Collect: sim.CollectOptions{Distance: true}}},
 	}
 	for _, c := range cases {
-		b.Run(fmt.Sprintf("devices=%d", c.devices), func(b *testing.B) {
-			devs := sim.SpreadDevices(c.devices, core.AlgSmartEXP3, len(c.topo.Areas))
-			eng, err := sim.NewEngine(sim.Config{
-				Topology: c.topo,
-				Devices:  devs,
-				Slots:    200,
-			})
+		b.Run(c.name, func(b *testing.B) {
+			cfg := c.cfg
+			cfg.Slots = 200
+			eng, err := sim.NewEngine(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

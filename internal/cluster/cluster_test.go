@@ -149,6 +149,48 @@ func cutProxy(t *testing.T, backend string, cutAfter int) string {
 	return ln.Addr().String()
 }
 
+// gateProxy forwards TCP connections to backend, but only once open is
+// closed: until then an accepted connection is held unanswered, so the
+// coordinator's handshake with that worker cannot complete and the worker
+// claims no work.
+func gateProxy(t *testing.T, backend string, open <-chan struct{}) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	t.Cleanup(func() { ln.Close(); close(stop) })
+	go func() {
+		for {
+			up, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer up.Close()
+				select {
+				case <-open:
+				case <-stop:
+					return
+				}
+				down, err := net.Dial("tcp", backend)
+				if err != nil {
+					return
+				}
+				defer down.Close()
+				go func() {
+					defer up.Close()
+					defer down.Close()
+					io.Copy(down, up)
+				}()
+				io.Copy(up, down)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // TestRunSurvivesWorkerKilledMidBatch kills one of two workers partway
 // through its result stream and asserts the aggregate still matches the
 // in-process run bit for bit: the unacknowledged ranges are reassigned to
@@ -160,22 +202,32 @@ func TestRunSurvivesWorkerKilledMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cut points from mid-handshake to deep into the result stream (the
-	// flaky worker's share of the 24-run batch is ~12 KB on the persistent
-	// codec, so the deepest cut still lands before its stream ends).
+	// Cut points from mid-handshake to deep into the result stream. The
+	// surviving worker is gated until the coordinator logs its first
+	// failure, so until the cut the flaky worker holds the whole 24-run
+	// batch (~24 KB on the persistent codec): every cut lands inside its
+	// stream, and the failure is noticed before the batch can finish,
+	// however fast either worker runs. Left ungated, the survivor could
+	// steal enough chunks that the flaky stream ended before the cut, or
+	// finish the batch before the coordinator saw the cut at all.
 	for _, cutAfter := range []int{64, 2048, 6144} {
 		t.Run(fmt.Sprintf("cutAfter=%d", cutAfter), func(t *testing.T) {
 			addrs := startWorkers(t, 2, WorkerOptions{Workers: 1})
 			flaky := cutProxy(t, addrs[0], cutAfter)
+			failed := make(chan struct{})
+			survivor := gateProxy(t, addrs[1], failed)
 			var logMu sync.Mutex
 			var logs []string
 			logf := func(format string, args ...any) {
 				logMu.Lock()
+				if len(logs) == 0 {
+					close(failed)
+				}
 				logs = append(logs, fmt.Sprintf(format, args...))
 				logMu.Unlock()
 			}
 			merge, got := fingerprint()
-			err := Run(job, []string{flaky, addrs[1]}, Options{ChunkSize: 2, Logf: logf}, merge)
+			err := Run(job, []string{flaky, survivor}, Options{ChunkSize: 2, Logf: logf}, merge)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,6 +62,10 @@ type SmartEXP3 struct {
 	sumGain []float64 // Σ slot gains (greedy statistics)
 	cntGain []int     // number of slot observations
 	slotsOn []int     // slots spent connected (identifies i_max)
+	// iMax caches i_max, the lowest local index with the most slotsOn. It
+	// is derived state, so snapshots omit it: Observe promotes cur in O(1),
+	// performReset zeroes it, and rebuild/ImportState rescan.
+	iMax int
 
 	// Greedy eligibility state.
 	condAFailed bool
@@ -209,6 +213,11 @@ func (p *SmartEXP3) Observe(gain float64) {
 	gain = clamp01(gain)
 	p.totalSlots++
 	p.slotsOn[p.cur]++
+	// Only cur's count rose, so only cur can take over i_max; ties keep
+	// the lowest index, as the full scan does.
+	if on, best := p.slotsOn[p.cur], p.slotsOn[p.iMax]; on > best || (on == best && p.cur < p.iMax) {
+		p.iMax = p.cur
+	}
 	p.sumGain[p.cur] += gain
 	p.cntGain[p.cur]++
 	p.blockGain += gain
@@ -396,6 +405,7 @@ func (p *SmartEXP3) rebuild(next []int, prior map[int]netState) {
 		}
 	}
 	p.w.reshift()
+	p.iMax = p.scanIMax()
 	// probs holds the uniform placeholder until the next block start.
 	p.iPlus, p.maxP, p.minP = 0, 1/float64(k), 1/float64(k)
 	p.probsValid = true
@@ -573,10 +583,8 @@ func (p *SmartEXP3) switchBackTriggers(gain float64) bool {
 // slots. The reference average is frozen when the drop starts so that the
 // drop itself cannot mask the decline.
 func (p *SmartEXP3) checkQualityDrop(gain float64) bool {
-	// Cheap observation-count guards run before the O(k) i_max scan; the
-	// disjunction is side-effect free, so the order only affects cost.
 	if p.cntGain[p.cur] < 2 || p.cntGain[p.cur] <= p.cfg.MinDropObservations ||
-		p.cur != p.iMax() {
+		p.cur != p.iMax {
 		p.dropCount = 0
 		return false
 	}
@@ -605,13 +613,14 @@ func (p *SmartEXP3) blockLength(x int) int {
 	return p.blockLens[x]
 }
 
-// iMax returns the network the device has been connected to for the most
-// slots (i_max in Section V).
-func (p *SmartEXP3) iMax() int {
-	best, bestSlots := 0, p.slotsOn[0]
+// scanIMax returns the network the device has been connected to for the
+// most slots (i_max in Section V), lowest index on ties, by a full O(k)
+// scan; the hot path reads the cached iMax instead.
+func (p *SmartEXP3) scanIMax() int {
+	best := 0
 	for li := 1; li < p.k; li++ {
-		if p.slotsOn[li] > bestSlots {
-			best, bestSlots = li, p.slotsOn[li]
+		if p.slotsOn[li] > p.slotsOn[best] {
+			best = li
 		}
 	}
 	return best
@@ -636,6 +645,7 @@ func (p *SmartEXP3) performReset() {
 		p.cntGain[li] = 0
 		p.slotsOn[li] = 0
 	}
+	p.iMax = 0
 	p.dropCount = 0
 	p.pendingSB = -1
 	p.prevNet = -1

@@ -504,3 +504,87 @@ func TestSmartEXP3WarmPathAllocs(t *testing.T) {
 		t.Fatalf("warm Select/Observe/ensureProbs path allocates %.2f objects per slot, want 0", allocs)
 	}
 }
+
+// TestSmartEXP3IMaxCacheMatchesScan is the property test behind the cached
+// i_max: across random Select/Observe runs (with gain collapses that fire
+// the quality-drop reset), availability changes that add and remove arms
+// (firing the network-change reset), Reinit and ExportState→ImportState
+// round trips, the O(1)-maintained iMax must equal a full scan of slotsOn —
+// the lowest index among the most-connected networks — after every step.
+func TestSmartEXP3IMaxCacheMatchesScan(t *testing.T) {
+	scan := func(p *SmartEXP3) int {
+		best := 0
+		for li := range p.slotsOn[:p.k] {
+			if p.slotsOn[li] > p.slotsOn[best] {
+				best = li
+			}
+		}
+		return best
+	}
+	for _, alg := range []Algorithm{AlgSmartEXP3, AlgSmartEXP3NoReset, AlgHybridBlockEXP3} {
+		t.Run(alg.String(), func(t *testing.T) {
+			rng := rngutil.New(int64(alg))
+			randomSet := func() []int {
+				var set []int
+				for id := 0; id < 6; id++ {
+					if rng.Intn(2) == 0 {
+						set = append(set, id)
+					}
+				}
+				if len(set) == 0 {
+					set = append(set, rng.Intn(6))
+				}
+				return set
+			}
+			p := newSmart(t, alg, randomSet(), int64(alg))
+			check := func(step int, what string) {
+				t.Helper()
+				if got, want := p.iMax, scan(p); got != want {
+					t.Fatalf("step %d (%s): cached i_max %d, scan %d (slotsOn %v)",
+						step, what, got, want, p.slotsOn[:p.k])
+				}
+			}
+			base := make([]float64, 6)
+			fired := 0 // resets fired by Observe and SetAvailable
+			for step := 0; step < 3000; step++ {
+				before := p.Resets()
+				switch r := rng.Intn(100); {
+				case r < 80:
+					collapse := rng.Intn(10) == 0
+					for s := rng.Intn(25); s >= 0; s-- {
+						net := p.Select()
+						if base[net] == 0 || rng.Intn(50) == 0 {
+							base[net] = 0.2 + 0.8*rng.Float64()
+						}
+						gain := base[net] * (0.95 + 0.1*rng.Float64())
+						if collapse {
+							gain *= 0.3
+						}
+						p.Observe(gain)
+						check(step, "observe")
+					}
+					fired += p.Resets() - before
+				case r < 92:
+					p.SetAvailable(randomSet())
+					check(step, "set available")
+					fired += p.Resets() - before
+				case r < 96:
+					p.Reinit(randomSet(), rngutil.New(rng.Int63()))
+					check(step, "reinit")
+				default:
+					var st PolicyState
+					p.ExportState(&st)
+					q := newSmart(t, alg, randomSet(), rng.Int63())
+					if err := q.ImportState(&st, rngutil.New(rng.Int63())); err != nil {
+						t.Fatal(err)
+					}
+					p = q
+					check(step, "import")
+				}
+			}
+			if alg == AlgSmartEXP3 && fired == 0 {
+				t.Fatal("no reset fired; the reset paths went unexercised")
+			}
+		})
+	}
+}

@@ -286,20 +286,26 @@ func (in Instance) IsNashAssignment(assign []int) bool {
 // under assign). The simulator's slot loop already maintains these counts,
 // so handing them in avoids an allocation per slot.
 func (in Instance) IsNashAssignmentWithCounts(assign, counts []int) bool {
-	const eps = 1e-12
 	for d, dev := range in.Devices {
 		cur := assign[d]
-		curShare := Share(in.Bandwidths[cur], counts[cur])
-		for _, i := range dev.Available {
-			if i == cur {
-				continue
-			}
-			if Share(in.Bandwidths[i], counts[i]+1) > curShare+eps {
-				return false
-			}
+		if canImprove(in.Bandwidths, counts, dev.Available, cur, Share(in.Bandwidths[cur], counts[cur])) {
+			return false
 		}
 	}
 	return true
+}
+
+// canImprove reports whether a device on network cur, currently gaining
+// curShare, would gain strictly more (beyond a 1e-12 float tolerance) by
+// moving alone to another network of avail under the occupancy counts.
+func canImprove(bandwidths []float64, counts, avail []int, cur int, curShare float64) bool {
+	const eps = 1e-12
+	for _, i := range avail {
+		if i != cur && Share(bandwidths[i], counts[i]+1) > curShare+eps {
+			return true
+		}
+	}
+	return false
 }
 
 // DistanceToNashGrouped implements Definition 3 for heterogeneous

@@ -8,14 +8,25 @@ import (
 // PreparedNE caches the Nash-equilibrium solution of an Instance so that the
 // per-slot distance-to-NE metric can be evaluated cheaply: the simulator
 // recomputes the NE only when the set of active devices or an availability
-// set changes (an "epoch"), and evaluates Distance every slot.
+// set changes (an "epoch"), and evaluates Distance every slot. Everything
+// Definition 3 needs from the NE side — each group's NE shares in ascending
+// order — is sorted here, once per epoch, so a slot sorts current gains
+// only (or, for noise-free rates, nothing but ≤k run keys per group).
 type PreparedNE struct {
+	bw      []float64 // the instance's bandwidths (not copied)
 	shares  []float64 // per-device gain at the cached NE assignment
 	groupOf []int     // availability-group id per device (first-occurrence order)
 	nGroups int
 	assign  []int         // the cached NE assignment
 	solver  AssignScratch // NE solve buffers, reused across epochs
 	reps    [][]int       // one representative availability set per group
+
+	// Devices bucketed by group: group g's members, ascending, are
+	// order[start[g]:start[g+1]], and neSorted holds their NE shares over
+	// the same range sorted ascending.
+	order    []int
+	start    []int
+	neSorted []float64
 }
 
 // Prepare solves the instance once and returns the cached solution. Devices
@@ -71,6 +82,33 @@ func (p *PreparedNE) PrepareInto(in Instance) error {
 		p.groupOf[d] = g
 	}
 	p.nGroups = len(p.reps)
+	p.bw = in.Bandwidths
+
+	// Counting sort of devices by group, then each group's NE shares
+	// sorted in place: the rank-matching side that no slot changes.
+	p.start = growInts(p.start, p.nGroups+1)
+	clear(p.start)
+	for _, g := range p.groupOf {
+		p.start[g+1]++
+	}
+	for g := 0; g < p.nGroups; g++ {
+		p.start[g+1] += p.start[g]
+	}
+	p.order = growInts(p.order, len(in.Devices))
+	p.neSorted = growFloats(p.neSorted, len(in.Devices))
+	for d, g := range p.groupOf {
+		// start[g] doubles as group g's fill cursor; it is restored below.
+		p.order[p.start[g]] = d
+		p.neSorted[p.start[g]] = p.shares[d]
+		p.start[g]++
+	}
+	for g := p.nGroups; g > 0; g-- {
+		p.start[g] = p.start[g-1]
+	}
+	p.start[0] = 0
+	for g := 0; g < p.nGroups; g++ {
+		slices.Sort(p.neSorted[p.start[g]:p.start[g+1]])
+	}
 	return nil
 }
 
@@ -110,9 +148,10 @@ func (p *PreparedNE) ShareOf(d int) float64 { return p.shares[d] }
 
 // Distance evaluates Definition 3 over the given member devices (nil means
 // all devices): members are partitioned by availability group, each
-// partition's current gains are rank-matched against the partition's NE
-// shares, and the worst percentage shortfall is returned. currentGains is
-// indexed like the instance's devices.
+// partition's current gains are sorted and rank-matched against the
+// partition's NE shares in ascending order, and the worst percentage
+// shortfall is returned. currentGains is indexed like the instance's
+// devices.
 //
 // Distance allocates scratch per call; the simulator's per-slot loop uses a
 // reusable DistanceEval instead.
@@ -122,12 +161,22 @@ func (p *PreparedNE) Distance(currentGains []float64, members []int) float64 {
 }
 
 // DistanceEval evaluates Definition 3 against one PreparedNE without
-// allocating per call: the per-group gain buffers are owned by the
-// evaluator and reused across slots. An evaluator must not be shared
-// between goroutines.
+// allocating per call: its gain buffers and occupancy histogram are owned
+// by the evaluator and reused across slots and epochs. An evaluator must
+// not be shared between goroutines.
 type DistanceEval struct {
-	p       *PreparedNE
-	cur, ne [][]float64 // per-group scratch, truncated to zero each call
+	p   *PreparedNE
+	cur []float64 // all devices' current gains, bucketed like p.order
+
+	// Member-subset scratch, per group, truncated to zero each call.
+	subCur, subNE [][]float64
+
+	// DistanceFromCounts scratch, indexed by network (hist, which is all
+	// zero between calls) or by run (occ, runGain, runLen): len(bandwidths).
+	hist    []int
+	occ     []int
+	runGain []float64
+	runLen  []int
 }
 
 // NewEval returns a reusable Definition 3 evaluator for the prepared NE.
@@ -139,54 +188,125 @@ func (p *PreparedNE) NewEval() *DistanceEval {
 
 // Reset retargets the evaluator at another prepared NE (a new epoch),
 // keeping its scratch buffers. The simulator carries one evaluator per
-// workspace across every epoch and replication.
+// workspace across every epoch and replication; since the network count is
+// fixed per engine, the histogram scratch is sized on the first Reset only.
 func (e *DistanceEval) Reset(p *PreparedNE) {
 	e.p = p
-	for len(e.cur) < p.nGroups {
-		e.cur = append(e.cur, nil)
-		e.ne = append(e.ne, nil)
+	for len(e.subCur) < p.nGroups {
+		e.subCur = append(e.subCur, nil)
+		e.subNE = append(e.subNE, nil)
 	}
+	e.cur = growFloats(e.cur, len(p.order))
+	// hist stays all zero across its whole capacity (DistanceFromCounts
+	// clears what it counts), so regrowing it by reslicing is safe.
+	k := len(p.bw)
+	e.hist = growInts(e.hist, k)
+	e.occ = growInts(e.occ, k)
+	e.runGain = growFloats(e.runGain, k)
+	e.runLen = growInts(e.runLen, k)
 }
 
 // Distance is PreparedNE.Distance evaluated through the reusable scratch.
-// It returns bit-identical results to the allocating form: members bucket
-// into groups in the same order, and each group's gains are sorted and
-// rank-matched identically.
+// It returns bit-identical results to the allocating form. Over all devices
+// (members nil) only the current gains are sorted, against the NE shares
+// PrepareInto sorted once per epoch; a member subset buckets and sorts both
+// sides.
 //
 //repolint:allocfree via TestDistanceEvalWarmAllocations
 func (e *DistanceEval) Distance(currentGains []float64, members []int) float64 {
 	p := e.p
-	for g := 0; g < p.nGroups; g++ {
-		e.cur[g] = e.cur[g][:0]
-		e.ne[g] = e.ne[g][:0]
-	}
-	if members == nil {
-		for d := range p.shares {
-			g := p.groupOf[d]
-			//repolint:ignore allocfree append into per-group scratch whose capacity Prepare sized to the full group and which is retained across calls
-			e.cur[g] = append(e.cur[g], currentGains[d])
-			//repolint:ignore allocfree append into per-group scratch whose capacity Prepare sized to the full group and which is retained across calls
-			e.ne[g] = append(e.ne[g], p.shares[d])
-		}
-	} else {
-		for _, d := range members {
-			g := p.groupOf[d]
-			//repolint:ignore allocfree append into per-group scratch whose capacity Prepare sized to the full group and which is retained across calls
-			e.cur[g] = append(e.cur[g], currentGains[d])
-			//repolint:ignore allocfree append into per-group scratch whose capacity Prepare sized to the full group and which is retained across calls
-			e.ne[g] = append(e.ne[g], p.shares[d])
-		}
-	}
 	var worst float64
+	if members == nil {
+		for j, d := range p.order {
+			e.cur[j] = currentGains[d]
+		}
+		for g := 0; g < p.nGroups; g++ {
+			cur := e.cur[p.start[g]:p.start[g+1]]
+			slices.Sort(cur)
+			worst = rankMatch(worst, cur, p.neSorted[p.start[g]:p.start[g+1]])
+		}
+		return worst
+	}
 	for g := 0; g < p.nGroups; g++ {
-		if len(e.cur[g]) == 0 {
-			continue
-		}
-		slices.Sort(e.cur[g])
-		slices.Sort(e.ne[g])
-		for i := range e.cur[g] {
-			worst = math.Max(worst, percentGainIncrease(e.cur[g][i], e.ne[g][i]))
-		}
+		e.subCur[g] = e.subCur[g][:0]
+		e.subNE[g] = e.subNE[g][:0]
+	}
+	for _, d := range members {
+		g := p.groupOf[d]
+		//repolint:ignore allocfree append into per-group scratch whose capacity grows to the largest subset seen and is retained across calls
+		e.subCur[g] = append(e.subCur[g], currentGains[d])
+		//repolint:ignore allocfree append into per-group scratch whose capacity grows to the largest subset seen and is retained across calls
+		e.subNE[g] = append(e.subNE[g], p.shares[d])
+	}
+	for g := 0; g < p.nGroups; g++ {
+		slices.Sort(e.subCur[g])
+		slices.Sort(e.subNE[g])
+		worst = rankMatch(worst, e.subCur[g], e.subNE[g])
 	}
 	return worst
+}
+
+// rankMatch folds Definition 3's position-wise shortfall of two ascending
+// gain vectors of equal length into worst.
+func rankMatch(worst float64, cur, ne []float64) float64 {
+	for i := range cur {
+		worst = math.Max(worst, percentGainIncrease(cur[i], ne[i]))
+	}
+	return worst
+}
+
+// DistanceFromCounts evaluates Definition 3 over all devices for
+// noise-free rates, together with the at-NE verdict of
+// Instance.IsNashAssignmentWithCounts. Every device's current gain is then
+// exactly Share(bandwidths[n], counts[n]) of its network n = assign[d], so
+// a group's sorted gains are runs of equal value, one per occupied network,
+// whose lengths are the group's occupancy histogram m_g(n). Sorting the ≤k
+// runs replaces sorting the group, and because percentGainIncrease is
+// non-decreasing in its target, the largest NE share a run is matched
+// against attains the run's maximum: the distance is bit-identical to
+// Distance fed those Share gains. The at-NE check runs once per (group,
+// occupied network) instead of once per device. assign is indexed like the
+// instance's devices; counts is the per-network occupancy of assign.
+//
+//repolint:allocfree via TestDistanceEvalWarmAllocations
+func (e *DistanceEval) DistanceFromCounts(assign, counts []int) (dist float64, atNE bool) {
+	p := e.p
+	atNE = true
+	for g := 0; g < p.nGroups; g++ {
+		lo, hi := p.start[g], p.start[g+1]
+		runs := 0
+		for _, d := range p.order[lo:hi] {
+			n := assign[d]
+			if e.hist[n] == 0 {
+				e.occ[runs] = n
+				runs++
+			}
+			e.hist[n]++
+		}
+		// Insertion-sort the runs by gain, returning hist to all zero.
+		for r := 0; r < runs; r++ {
+			n := e.occ[r]
+			s := Share(p.bw[n], counts[n])
+			m := e.hist[n]
+			e.hist[n] = 0
+			if atNE && canImprove(p.bw, counts, p.reps[g], n, s) {
+				atNE = false
+			}
+			i := r
+			for ; i > 0 && e.runGain[i-1] > s; i-- {
+				e.runGain[i], e.runLen[i] = e.runGain[i-1], e.runLen[i-1]
+			}
+			e.runGain[i], e.runLen[i] = s, m
+		}
+		ne := p.neSorted[lo:hi]
+		end := 0
+		for r := 0; r < runs; r++ {
+			end += e.runLen[r]
+			// A run at or above its target adds a zero shortfall.
+			if ne[end-1] > e.runGain[r] {
+				dist = math.Max(dist, percentGainIncrease(e.runGain[r], ne[end-1]))
+			}
+		}
+	}
+	return dist, atNE
 }

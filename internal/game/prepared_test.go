@@ -102,9 +102,11 @@ func TestNashAssignmentFromScratchMatches(t *testing.T) {
 }
 
 // TestDistanceEvalWarmAllocations is the AllocsPerRun gate behind the
-// //repolint:allocfree marker on DistanceEval.Distance: once the per-group
-// scratch has grown to the instance's group sizes, evaluating Definition 3 —
-// over all devices or a member subset — allocates nothing.
+// //repolint:allocfree markers on DistanceEval.Distance and
+// DistanceEval.DistanceFromCounts: once the evaluator's scratch has grown
+// to the instance's group sizes, evaluating Definition 3 — over all devices,
+// a member subset, or the noise-free occupancy histogram — allocates
+// nothing, also across a Reset to the next epoch's NE.
 func TestDistanceEvalWarmAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := heterogeneousInstance(24, rng)
@@ -117,11 +119,20 @@ func TestDistanceEvalWarmAllocations(t *testing.T) {
 	for d := range gains {
 		gains[d] = rng.Float64() * 5
 	}
+	assign := in.NashAssignment()
+	assign[0] = in.Devices[0].Available[0] // one off-equilibrium move
+	counts := make([]int, len(in.Bandwidths))
+	for _, n := range assign {
+		counts[n]++
+	}
 	members := []int{0, 3, 5, 7, 11, 13}
 	e.Distance(gains, nil) // warm: scratch reaches full group sizes
+	e.Distance(gains, members)
 	avg := testing.AllocsPerRun(100, func() {
+		e.Reset(&p)
 		e.Distance(gains, nil)
 		e.Distance(gains, members)
+		e.DistanceFromCounts(assign, counts)
 	})
 	if avg != 0 {
 		t.Fatalf("warm Distance allocates %.1f objects, want 0", avg)

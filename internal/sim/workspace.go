@@ -50,19 +50,27 @@ type Workspace struct {
 	instance   game.Instance
 	neCache    game.PreparedNE
 	prepared   *game.PreparedNE
-	distEval   *game.DistanceEval
+	distEval   game.DistanceEval
 	coordNets  []int              // centralized coordinator's assignment (per device id)
 	seedBuf    []int              // coordinator churn seeding scratch
 	coordSolve game.AssignScratch // coordinator NE solve buffers
 
 	// Per-slot scratch.
-	counts    []int
-	bitrates  []float64
-	delays    []float64 // sampled switching delay per device this slot
-	gains     []float64 // active-device gains, activeList order
-	assign    []int     // active-device choices, activeList order
-	memberIdx []int     // group-distance member indices scratch
-	cfGains   []float64 // counterfactual gains scratch
+	counts   []int
+	bitrates []float64
+	delays   []float64 // sampled switching delay per device this slot
+	gains    []float64 // active-device gains, activeList order
+	assign   []int     // active-device choices, activeList order
+	cfGains  []float64 // counterfactual gains scratch
+
+	// Device groups resolved per epoch (Collect.Distance only): each
+	// group's active members as activeList indices, and whether they are
+	// exactly the active set, once each — then the group's distance is the
+	// overall one. The default single all-device group always is.
+	groupIdx    [][]int
+	groupAll    []bool
+	groupSubset bool   // some non-empty group is a proper subset
+	seen        []bool // groupAll scratch, by activeList index
 
 	// Batched switching-delay sampling: switchers are partitioned by target
 	// technology and sampled with one dist.SampleInto call per technology.
@@ -70,11 +78,14 @@ type Workspace struct {
 	wifiRngs, cellRngs []*rand.Rand
 	wifiBuf, cellBuf   []float64
 
-	// Distance fast path: when no device switched since the previous slot
-	// of the same epoch (and rates are noise-free), every bitrate — and
-	// therefore the whole Definition 3 evaluation — is unchanged, so the
-	// cached slot metrics are replayed instead of recomputed. Converged
-	// populations hit this on almost every slot.
+	// Distance fast paths. With noise-free rates every gain is its
+	// network's equal share, so a slot with moves is evaluated from the
+	// per-group occupancy histogram (DistanceEval.DistanceFromCounts)
+	// without sorting any device's gain; and when no device switched since
+	// the previous slot of the same epoch, every bitrate — and therefore
+	// the whole Definition 3 evaluation — is unchanged, so the cached slot
+	// metrics are replayed instead of recomputed. Converged populations hit
+	// the replay on almost every slot.
 	distCacheOK  bool
 	prevAssign   []int
 	prevAtNE     bool
@@ -120,6 +131,14 @@ func (e *Engine) NewWorkspace() *Workspace {
 	}
 	ws.prevGroup = make([]float64, len(e.cfg.DeviceGroups))
 	ws.prevGroupSet = make([]bool, len(e.cfg.DeviceGroups))
+	if e.cfg.Collect.Distance {
+		ws.groupIdx = make([][]int, len(e.cfg.DeviceGroups))
+		for g, members := range e.cfg.DeviceGroups {
+			ws.groupIdx[g] = make([]int, 0, len(members))
+		}
+		ws.groupAll = make([]bool, len(e.cfg.DeviceGroups))
+		ws.seen = make([]bool, n)
+	}
 	if e.cfg.Collect.Probabilities {
 		ws.argmaxRec = make([][]int, n)
 		ws.probRec = make([][]float64, n)
@@ -352,11 +371,8 @@ func (ws *Workspace) refreshEpoch() error {
 	}
 	ws.prepared = &ws.neCache
 	ws.distCacheOK = false
-	if ws.distEval == nil {
-		ws.distEval = ws.prepared.NewEval()
-	} else {
-		ws.distEval.Reset(ws.prepared)
-	}
+	ws.distEval.Reset(ws.prepared)
+	ws.resolveGroups()
 
 	if e.centralized {
 		ws.seedBuf = ws.seedBuf[:0]
@@ -369,6 +385,43 @@ func (ws *Workspace) refreshEpoch() error {
 		}
 	}
 	return nil
+}
+
+// resolveGroups maps each device group onto the epoch's active devices for
+// the per-group distance (groupIdx is empty unless Collect.Distance).
+func (ws *Workspace) resolveGroups() {
+	ws.groupSubset = false
+	for g, members := range ws.eng.cfg.DeviceGroups[:len(ws.groupIdx)] {
+		idx := ws.groupIdx[g][:0]
+		for _, d := range members {
+			if i := ws.idxOf[d]; i >= 0 {
+				idx = append(idx, i)
+			}
+		}
+		ws.groupIdx[g] = idx
+		ws.groupAll[g] = ws.coversActive(idx)
+		if len(idx) > 0 && !ws.groupAll[g] {
+			ws.groupSubset = true
+		}
+	}
+}
+
+// coversActive reports whether idx lists every active device exactly once.
+// Such a group's Definition 3 inputs are the whole population's, so its
+// distance is bit-identical to the overall distance.
+func (ws *Workspace) coversActive(idx []int) bool {
+	if len(idx) != len(ws.activeList) {
+		return false
+	}
+	seen := ws.seen[:len(idx)]
+	clear(seen)
+	for _, i := range idx {
+		if seen[i] {
+			return false
+		}
+		seen[i] = true
+	}
+	return true
 }
 
 // selectAll asks every active device for its network choice this slot.
@@ -553,7 +606,11 @@ func (ws *Workspace) gainOf(bitrate float64, net int) float64 {
 // metric costs no allocation. When the assignment is identical to the
 // previous slot of the same epoch and bit rates are noise-free, every input
 // of the metric is unchanged and the cached slot verdicts are replayed —
-// converged populations spend most of their slots on this path.
+// converged populations spend most of their slots on this path. Other
+// noise-free slots take the histogram form, which needs only the
+// assignment and occupancy; noisy rates rank-match the observed bit rates.
+// A device group that is the whole active set reuses the overall distance;
+// only proper subsets rank-match their own members.
 func (ws *Workspace) recordDistance(t int) {
 	e := ws.eng
 	if ws.prepared == nil || len(ws.activeList) == 0 {
@@ -566,7 +623,8 @@ func (ws *Workspace) recordDistance(t int) {
 	}
 
 	ws.distSlots++
-	if ws.distCacheOK && e.cfg.NoiseStdDev == 0 && intsEqual(ws.assign, ws.prevAssign[:n]) {
+	noiseFree := e.cfg.NoiseStdDev == 0
+	if ws.distCacheOK && noiseFree && intsEqual(ws.assign, ws.prevAssign[:n]) {
 		if ws.prevAtNE {
 			ws.atNESlots++
 		}
@@ -584,38 +642,40 @@ func (ws *Workspace) recordDistance(t int) {
 		return
 	}
 
-	ws.gains = growFloats(ws.gains, n)
-	for i, d := range ws.activeList {
-		ws.gains[i] = ws.bitrates[d]
+	if !noiseFree || ws.groupSubset {
+		ws.gains = growFloats(ws.gains, n)
+		for i, d := range ws.activeList {
+			ws.gains[i] = ws.bitrates[d]
+		}
 	}
-	atNE := ws.instance.IsNashAssignmentWithCounts(ws.assign, ws.counts)
+	var d float64
+	var atNE bool
+	if noiseFree {
+		d, atNE = ws.distEval.DistanceFromCounts(ws.assign, ws.counts)
+	} else {
+		atNE = ws.instance.IsNashAssignmentWithCounts(ws.assign, ws.counts)
+		d = ws.distEval.Distance(ws.gains, nil)
+	}
 	if atNE {
 		ws.atNESlots++
 	}
-	var epsHit bool
 	if e.cfg.Collect.Distance {
-		d := ws.distEval.Distance(ws.gains, nil)
 		ws.res.Distance[t] = d
 		ws.prevDist = d
-		for g, members := range e.cfg.DeviceGroups {
-			ws.memberIdx = ws.memberIdx[:0]
-			for _, d := range members {
-				if i := ws.idxOf[d]; i >= 0 {
-					ws.memberIdx = append(ws.memberIdx, i)
-				}
-			}
-			ws.prevGroupSet[g] = len(ws.memberIdx) > 0
-			if ws.prevGroupSet[g] {
-				gd := ws.distEval.Distance(ws.gains, ws.memberIdx)
-				ws.res.GroupDistance[g][t] = gd
-				ws.prevGroup[g] = gd
-			}
-		}
-		epsHit = d <= e.cfg.EpsilonPercent
-	} else {
-		// ε accounting still needs the overall distance.
-		epsHit = ws.distEval.Distance(ws.gains, nil) <= e.cfg.EpsilonPercent
 	}
+	for g, idx := range ws.groupIdx {
+		ws.prevGroupSet[g] = len(idx) > 0
+		if !ws.prevGroupSet[g] {
+			continue
+		}
+		gd := d
+		if !ws.groupAll[g] {
+			gd = ws.distEval.Distance(ws.gains, idx)
+		}
+		ws.res.GroupDistance[g][t] = gd
+		ws.prevGroup[g] = gd
+	}
+	epsHit := d <= e.cfg.EpsilonPercent
 	if epsHit {
 		ws.atEpsSlots++
 	}
