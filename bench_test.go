@@ -276,11 +276,19 @@ func BenchmarkClusterSession(b *testing.B) {
 // 500-device case runs on the 204-network `large` preset). The
 // setting1-distance row adds the per-slot Definition 3 metric
 // (Collect.Distance) for 20 devices on Setting 1, the researcher's shape
-// the figures plot. Steady-state allocs/op must stay flat — a handful of
+// the figures plot. The metro-churn row is the 100-device metro with every
+// fourth device joining at slot 50 and leaving at slot 150: the
+// switch-heavy shape whose block starts, WiFi switching delays and
+// ε-equilibrium accounting dominate its slot loop. Steady-state allocs/op
+// must stay flat — a handful of
 // objects for the returned Result plus epoch bookkeeping, regardless of
 // scale, metric collection or replication count.
 func BenchmarkSimReplication(b *testing.B) {
 	metro := netmodel.Generate(netmodel.GenSpec{Areas: 10, APsPerArea: 3, Cells: 2, Overlap: 1})
+	metroChurn := sim.SpreadDevices(100, core.AlgSmartEXP3, len(metro.Areas))
+	for d := 0; d < len(metroChurn); d += 4 {
+		metroChurn[d].Join, metroChurn[d].Leave = 50, 150
+	}
 	cases := []struct {
 		name string
 		cfg  sim.Config
@@ -294,6 +302,7 @@ func BenchmarkSimReplication(b *testing.B) {
 		{"setting1-distance", sim.Config{Topology: netmodel.Setting1(),
 			Devices: sim.UniformDevices(20, core.AlgSmartEXP3),
 			Collect: sim.CollectOptions{Distance: true}}},
+		{"metro-churn", sim.Config{Topology: metro, Devices: metroChurn}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -30,10 +30,12 @@ type SmartEXP3 struct {
 	probs []float64 // selection distribution, filled lazily (ensureProbs)
 	// probsValid records whether probs reflects the current (weights, γ);
 	// the full O(k) fill only happens when something reads the whole
-	// distribution, so policies without reset/greedy features (classic
-	// EXP3) never pay it on the draw path. The fill also records the
-	// distribution's argmax (first index), max and min, which the periodic
-	// reset and greedy-eligibility checks consult every block start.
+	// distribution (Probabilities, SetAvailable), never on the slot loop.
+	// The fill also records the distribution's argmax (first index), max
+	// and min for export. Every block start invalidates the cache, so the
+	// periodic reset and greedy-eligibility checks never read it: they take
+	// the extrema from the weight set in O(1) (hi, lo, argmaxProb),
+	// bit-equal to what a fill would record.
 	probsValid bool
 	iPlus      int     // argmax of probs (lowest index on ties)
 	maxP, minP float64 // max and min of probs
@@ -514,17 +516,16 @@ func (p *SmartEXP3) greedyEligible() bool {
 	if p.k < 2 {
 		return false
 	}
-	p.ensureProbs()
-	lenPlus := p.blockLength(p.x[p.iPlus])
-	condA := p.maxP-p.minP <= 1/float64(p.k-1)
-	if !condA && !p.condAFailed {
+	maxP := p.w.prob(p.w.hi, p.gamma)
+	if maxP-p.w.prob(p.w.lo, p.gamma) <= 1/float64(p.k-1) { // condition (a)
+		return true
+	}
+	lenPlus := p.blockLength(p.x[p.w.argmaxProb(maxP, p.gamma)])
+	if !p.condAFailed {
 		p.condAFailed = true
 		p.yThreshold = lenPlus
 	}
-	if condA {
-		return true
-	}
-	return p.condAFailed && lenPlus < p.yThreshold
+	return lenPlus < p.yThreshold
 }
 
 // bestAverageGain returns the network with the highest observed per-slot
@@ -629,9 +630,9 @@ func (p *SmartEXP3) scanIMax() int {
 // periodicResetDue reports whether the periodic reset condition holds:
 // p_{i+} ≥ ResetProbability and l_{i+} ≥ ResetBlockLength.
 func (p *SmartEXP3) periodicResetDue() bool {
-	p.ensureProbs()
-	return p.maxP >= p.cfg.ResetProbability &&
-		p.blockLength(p.x[p.iPlus]) >= p.cfg.ResetBlockLength
+	maxP := p.w.prob(p.w.hi, p.gamma)
+	return maxP >= p.cfg.ResetProbability &&
+		p.blockLength(p.x[p.w.argmaxProb(maxP, p.gamma)]) >= p.cfg.ResetBlockLength
 }
 
 // performReset applies the minimal reset: block lengths and the statistics

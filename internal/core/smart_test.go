@@ -346,9 +346,10 @@ func TestGreedyEligibilityExpiresAndCapturesY(t *testing.T) {
 	// With a concentrated distribution and regrown block lengths, greedy
 	// must no longer be eligible.
 	p.Select()
+	probs := p.Probabilities()
 	iPlus := 0
 	for li := 1; li < p.k; li++ {
-		if p.probs[li] > p.probs[iPlus] {
+		if probs[li] > probs[iPlus] {
 			iPlus = li
 		}
 	}
@@ -375,11 +376,15 @@ func TestGreedySelectionUsesHalfProbability(t *testing.T) {
 		p.Select()
 		p.Observe(0.5)
 	}
+	// p_i comes from a full fill into a scratch slice, independent of the
+	// O(1) armProb that set selProb and of the policy's own cache.
+	probs := make([]float64, p.k)
 	for i := 0; i < 200; i++ {
 		p.Select()
 		if p.slotIn == 0 && len(p.explore) == 0 && !p.curIsSB && p.greedyWasEligible {
+			p.w.fill(probs, p.gamma)
 			half := p.selProb == 0.5
-			halfRandom := math.Abs(p.selProb-p.probs[p.cur]/2) < 1e-12
+			halfRandom := math.Abs(p.selProb-probs[p.cur]/2) < 1e-12
 			if !half && !halfRandom {
 				t.Fatalf("greedy-phase selection probability %v, want 1/2 or p_i/2", p.selProb)
 			}
@@ -481,9 +486,10 @@ func TestSelectionProbabilityBookkeeping(t *testing.T) {
 
 // TestSmartEXP3WarmPathAllocs is the AllocsPerRun gate behind the
 // //repolint:allocfree markers on the engine's slot loop: Select, Observe,
-// ensureProbs, armProb and every weightSet primitive they drive (bump, fill,
-// prob, sample, treeAdd, search) must not allocate once the policy is past
-// its initial exploration and the window/memo buffers have reached capacity.
+// ensureProbs, armProb, the block-start extrema checks and every weightSet
+// primitive they drive (bump, scanExtrema, fill, prob, argmaxProb, sample,
+// treeAdd, search) must not allocate once the policy is past its initial
+// exploration and the window/memo buffers have reached capacity.
 func TestSmartEXP3WarmPathAllocs(t *testing.T) {
 	p := newSmart(t, AlgSmartEXP3, []int{0, 1, 2, 3}, 17)
 	slot := 0

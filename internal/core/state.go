@@ -197,6 +197,7 @@ func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
 	copy(p.w.wExp, s.WExp)
 	copy(p.w.tree, s.Tree)
 	p.w.sumW, p.w.shift = s.SumW, s.Shift
+	p.w.scanExtrema()
 
 	p.probs = resizeFloats(p.probs, k)
 	copy(p.probs, s.Probs)

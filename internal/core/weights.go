@@ -24,12 +24,21 @@ import (
 // per ~weightReshiftSpan of accumulated log-weight growth, so its cost is
 // amortized O(1) per block. Since block lengths grow geometrically, the
 // per-slot cost of all weight maintenance is amortized O(1).
+//
+// It also tracks hi and lo, the indices of the largest and smallest wExp
+// (lowest index on ties). The selection probability is a weakly monotone
+// function of the weight, so prob(hi) and prob(lo) are bit-equal to the
+// maximum and minimum of the filled distribution: the block-start checks
+// read the extrema in O(1) instead of filling all k probabilities. bump
+// keeps both indices in O(1) except when it raises the minimum or lowers
+// the maximum, which rescans; reshift and an imported state rescan too.
 type weightSet struct {
-	logW  []float64
-	wExp  []float64
-	tree  []float64 // 1-based Fenwick tree over wExp
-	sumW  float64
-	shift float64
+	logW   []float64
+	wExp   []float64
+	tree   []float64 // 1-based Fenwick tree over wExp
+	sumW   float64
+	shift  float64
+	hi, lo int // indices of the largest and smallest wExp
 }
 
 // weightReshiftSpan bounds logW[i]−shift before a reshift: exp(300) ≈
@@ -90,6 +99,22 @@ func (w *weightSet) reshift() {
 		w.sumW += w.wExp[i]
 		w.treeAdd(i, w.wExp[i])
 	}
+	w.scanExtrema()
+}
+
+// scanExtrema recomputes hi and lo by a full O(k) scan.
+//
+//repolint:allocfree via TestSmartEXP3WarmPathAllocs
+func (w *weightSet) scanExtrema() {
+	w.hi, w.lo = 0, 0
+	for i := 1; i < len(w.wExp); i++ {
+		if w.wExp[i] > w.wExp[w.hi] {
+			w.hi = i
+		}
+		if w.wExp[i] < w.wExp[w.lo] {
+			w.lo = i
+		}
+	}
 }
 
 // bump applies the multiplicative update w_i ← w_i·exp(delta), delta ≥ 0.
@@ -107,6 +132,16 @@ func (w *weightSet) bump(i int, delta float64) {
 	w.wExp[i] = next
 	w.sumW += diff
 	w.treeAdd(i, diff)
+	if (i == w.lo && diff > 0) || (i == w.hi && diff < 0) {
+		w.scanExtrema()
+		return
+	}
+	if next > w.wExp[w.hi] || (next == w.wExp[w.hi] && i < w.hi) {
+		w.hi = i
+	}
+	if next < w.wExp[w.lo] || (next == w.wExp[w.lo] && i < w.lo) {
+		w.lo = i
+	}
 }
 
 // fill writes the selection distribution p_i = (1−γ)·w_i/Σw + γ/k into dst
@@ -120,11 +155,27 @@ func (w *weightSet) fill(dst []float64, gamma float64) {
 	}
 }
 
-// prob returns one arm's selection probability in O(1).
+// prob returns one arm's selection probability in O(1), bit-equal to
+// what fill writes for it: the same operations in the same order.
 //
 //repolint:allocfree via TestSmartEXP3WarmPathAllocs
 func (w *weightSet) prob(i int, gamma float64) float64 {
 	return (1-gamma)*w.wExp[i]/w.sumW + gamma/float64(len(w.logW))
+}
+
+// argmaxProb returns the first index whose probability equals maxP, the
+// distribution's maximum prob(hi): the index a fill-and-scan would report.
+// It differs from hi only where distinct weights round to one probability
+// (γ = 1 makes every probability γ/k), so it scans [0, hi) alone.
+//
+//repolint:allocfree via TestSmartEXP3WarmPathAllocs
+func (w *weightSet) argmaxProb(maxP, gamma float64) int {
+	for i := 0; i < w.hi; i++ {
+		if w.prob(i, gamma) == maxP {
+			return i
+		}
+	}
+	return w.hi
 }
 
 // sample draws an arm with probability proportional to its weight via an

@@ -93,8 +93,65 @@ type JohnsonSU struct {
 
 // Sample implements Sampler.
 func (j JohnsonSU) Sample(rng *rand.Rand) float64 {
-	z := rng.NormFloat64()
+	return j.at(rng.NormFloat64())
+}
+
+// at maps a standard normal draw z to X. Every path that turns a draw into
+// a value calls it, so they all round alike.
+func (j JohnsonSU) at(z float64) float64 {
 	return j.Loc + j.Scale*math.Sinh((z-j.Gamma)/j.Delta)
+}
+
+// lowCutMargin widens the z-space cut of lowCut, relative to 1+|z|: many
+// orders of magnitude above the few ulps by which the float64 evaluation
+// of X can stray from its exact, monotone value.
+const lowCutMargin = 1e-6
+
+// lowCut returns a normal quantile cut such that every draw z < cut maps
+// to X < low, so a truncation at low rejects it without evaluating sinh.
+// X is increasing in z when Scale and Delta are positive, and the exact
+// boundary is Gamma + Delta·asinh((low−Loc)/Scale); cut sits lowCutMargin
+// below it. The cut is −Inf, and nothing is pre-rejected, unless the
+// float64 X at cut is itself below low by far more than its rounding
+// error, which rules out the degenerate parameters (Scale tiny against
+// Loc, non-finite bounds) where rounding could still accept such a draw.
+func (j JohnsonSU) lowCut(low float64) float64 {
+	off := math.Inf(-1)
+	if !(j.Scale > 0 && j.Delta > 0) {
+		return off
+	}
+	zc := j.Gamma + j.Delta*math.Asinh((low-j.Loc)/j.Scale)
+	cut := zc - lowCutMargin*(1+math.Abs(zc))
+	if math.IsInf(cut, 0) || math.IsNaN(cut) {
+		return off
+	}
+	x := j.at(cut)
+	if slack := 1e-12 * (math.Abs(low) + math.Abs(j.Loc) + math.Abs(x-j.Loc)); !(x+slack < low) {
+		return off
+	}
+	return cut
+}
+
+// truncatedFrom is truncated specialized to a JohnsonSU with its lowCut:
+// a draw below cut is rejected in z space. It consumes one NormFloat64 per
+// attempt, as truncated does, and returns the same value: a pre-rejected
+// final attempt has X < low, which the clamp maps to min(low, high). With
+// cut = −Inf nothing is pre-rejected and it is truncated(j.Sample, ...).
+func (j JohnsonSU) truncatedFrom(cut, low, high float64, rng *rand.Rand) float64 {
+	x, below := 0.0, false
+	for i := 0; i < maxTruncAttempts; i++ {
+		z := rng.NormFloat64()
+		if below = z < cut; below {
+			continue
+		}
+		if x = j.at(z); x >= low && x <= high {
+			return x
+		}
+	}
+	if below {
+		return math.Min(low, high)
+	}
+	return math.Min(math.Max(x, low), high)
 }
 
 // Mean implements Meaner (the S_U mean is analytic:
@@ -159,8 +216,11 @@ func truncated(draw func(*rand.Rand) float64, low, high float64, rng *rand.Rand)
 // devices of one technology into a single SampleInto call per slot, so the
 // slot loop pays one dynamic dispatch per technology rather than one per
 // switch; the known concrete samplers are devirtualized below and their
-// draw loops inline. Each draw consumes exactly what s.Sample(rngs[i])
-// would, so per-device random streams are unchanged by batching.
+// draw loops inline. A truncated JohnsonSU also rejects draws below Low
+// from the normal draw alone, before the sinh that would only confirm it
+// (see JohnsonSU.lowCut). Each draw consumes exactly what s.Sample(rngs[i])
+// would and returns the same bits, so per-device random streams are
+// unchanged by batching.
 func SampleInto(s Sampler, rngs []*rand.Rand, dst []float64) {
 	switch c := s.(type) {
 	case Truncated:
@@ -169,8 +229,9 @@ func SampleInto(s Sampler, rngs []*rand.Rand, dst []float64) {
 		// second dispatch layer from the rejection loop.
 		switch inner := c.S.(type) {
 		case JohnsonSU:
+			cut := inner.lowCut(c.Low)
 			for i, rng := range rngs {
-				dst[i] = truncated(inner.Sample, c.Low, c.High, rng)
+				dst[i] = inner.truncatedFrom(cut, c.Low, c.High, rng)
 			}
 		case StudentT:
 			for i, rng := range rngs {

@@ -56,6 +56,11 @@ func fuzzInstance(data []byte, rounds int) (Instance, [][]int) {
 // per-call sort of both sides), and the at-NE verdict must equal
 // Instance.IsNashAssignmentWithCounts. One evaluator serves several
 // assignments, so a histogram left dirty by one call shows in the next.
+//
+// Each assignment is also evaluated with an early-exit bound stop of −1,
+// 0, an ε drawn from the input's last byte, and +Inf: the at-NE verdict
+// and dist ≤ stop must match the full evaluation, a bounded distance can
+// only fall short of the full one, and +Inf must return it bit for bit.
 func FuzzDistanceHistogram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 8, 8, 4, 0, 2, 0, 1, 2, 5, 0, 0, 0, 0, 0, 1, 1, 1, 0, 2})
@@ -72,6 +77,10 @@ func FuzzDistanceHistogram(f *testing.F) {
 		for d := range all {
 			all[d] = d
 		}
+		eps := 0.0
+		if len(data) > 0 {
+			eps = float64(data[len(data)-1]) / 2
+		}
 		counts := make([]int, len(in.Bandwidths))
 		gains := make([]float64, len(in.Devices))
 		for r, assign := range assigns {
@@ -82,7 +91,7 @@ func FuzzDistanceHistogram(f *testing.F) {
 			for d, n := range assign {
 				gains[d] = Share(in.Bandwidths[n], counts[n])
 			}
-			got, atNE := e.DistanceFromCounts(assign, counts)
+			got, atNE := e.DistanceFromCounts(assign, counts, math.Inf(1))
 			if want := e.Distance(gains, nil); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("round %d: histogram distance %v (%#x), sorted %v (%#x)",
 					r, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -92,6 +101,15 @@ func FuzzDistanceHistogram(f *testing.F) {
 			}
 			if want := in.IsNashAssignmentWithCounts(assign, counts); atNE != want {
 				t.Fatalf("round %d: histogram at-NE %v, IsNashAssignmentWithCounts %v", r, atNE, want)
+			}
+			for _, stop := range []float64{-1, 0, eps, math.Inf(1)} {
+				d, ne := e.DistanceFromCounts(assign, counts, stop)
+				if ne != atNE || (d <= stop) != (got <= stop) || d > got {
+					t.Fatalf("round %d stop %v: (%v, %v), full evaluation (%v, %v)", r, stop, d, ne, got, atNE)
+				}
+				if math.IsInf(stop, 1) && math.Float64bits(d) != math.Float64bits(got) {
+					t.Fatalf("round %d: unbounded distance %v, full %v", r, d, got)
+				}
 			}
 		}
 	})

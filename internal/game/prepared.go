@@ -268,8 +268,16 @@ func rankMatch(worst float64, cur, ne []float64) float64 {
 // occupied network) instead of once per device. assign is indexed like the
 // instance's devices; counts is the per-network occupancy of assign.
 //
+// stop lets a caller that needs only the verdicts dist ≤ stop and atNE end
+// early: after any group at which atNE is already false and the running
+// distance exceeds stop, neither verdict can change (the distance is a
+// running maximum and atNE only falls), so the call returns that partial
+// distance. It still exceeds stop, and atNE is exact; the partial distance
+// itself is not Definition 3's value. With stop = +Inf the call always
+// runs to the end and returns the full distance.
+//
 //repolint:allocfree via TestDistanceEvalWarmAllocations
-func (e *DistanceEval) DistanceFromCounts(assign, counts []int) (dist float64, atNE bool) {
+func (e *DistanceEval) DistanceFromCounts(assign, counts []int, stop float64) (dist float64, atNE bool) {
 	p := e.p
 	atNE = true
 	for g := 0; g < p.nGroups; g++ {
@@ -306,6 +314,9 @@ func (e *DistanceEval) DistanceFromCounts(assign, counts []int) (dist float64, a
 			if ne[end-1] > e.runGain[r] {
 				dist = math.Max(dist, percentGainIncrease(e.runGain[r], ne[end-1]))
 			}
+		}
+		if !atNE && dist > stop {
+			break
 		}
 	}
 	return dist, atNE

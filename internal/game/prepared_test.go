@@ -132,7 +132,7 @@ func TestDistanceEvalWarmAllocations(t *testing.T) {
 		e.Reset(&p)
 		e.Distance(gains, nil)
 		e.Distance(gains, members)
-		e.DistanceFromCounts(assign, counts)
+		e.DistanceFromCounts(assign, counts, math.Inf(1))
 	})
 	if avg != 0 {
 		t.Fatalf("warm Distance allocates %.1f objects, want 0", avg)

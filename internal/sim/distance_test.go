@@ -19,6 +19,9 @@ import (
 // GroupDistance must agree bit for bit, and FracAtNE/FracAtEps exactly,
 // with and without rate noise, under churn, for groups that list the whole
 // population out of order, repeat a device in its place, or cover a subset.
+// The same config run without Collect.Distance, where the evaluation may
+// stop once both verdicts are settled, must report the same FracAtNE and
+// FracAtEps bit for bit.
 func TestRecordDistanceMatchesOracle(t *testing.T) {
 	topo := netmodel.Generate(netmodel.GenSpec{Areas: 3, APsPerArea: 2, Cells: 1, Overlap: 1})
 	devs := SpreadDevices(14, core.AlgSmartEXP3, len(topo.Areas))
@@ -51,6 +54,17 @@ func TestRecordDistanceMatchesOracle(t *testing.T) {
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			verdictsOnly := cfg
+			verdictsOnly.Collect.Distance = false
+			off, err := Run(verdictsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(off.FracAtNE) != math.Float64bits(res.FracAtNE) ||
+				math.Float64bits(off.FracAtEps) != math.Float64bits(res.FracAtEps) {
+				t.Fatalf("without the series FracAtNE %v FracAtEps %v, with it %v %v",
+					off.FracAtNE, off.FracAtEps, res.FracAtNE, res.FracAtEps)
 			}
 			bw := topo.Bandwidths()
 			atNE, atEps, slots := 0, 0, 0

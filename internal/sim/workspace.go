@@ -651,7 +651,14 @@ func (ws *Workspace) recordDistance(t int) {
 	var d float64
 	var atNE bool
 	if noiseFree {
-		d, atNE = ws.distEval.DistanceFromCounts(ws.assign, ws.counts)
+		// Without the series, only d ≤ ε and at-NE are needed, so the
+		// evaluation may stop once both are settled; d is then a partial
+		// distance above ε and is never stored.
+		stop := math.Inf(1)
+		if !e.cfg.Collect.Distance {
+			stop = e.cfg.EpsilonPercent
+		}
+		d, atNE = ws.distEval.DistanceFromCounts(ws.assign, ws.counts, stop)
 	} else {
 		atNE = ws.instance.IsNashAssignmentWithCounts(ws.assign, ws.counts)
 		d = ws.distEval.Distance(ws.gains, nil)
